@@ -9,6 +9,7 @@ stiffness integrands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -180,15 +181,38 @@ def _quad_rule(grid):
                 yield wx * wy * h * h, phi, (dphix, dphiy), (xl + xi * h, yl + eta * h)
 
 
-def assemble_load(grid: StructuredGrid, f: Callable, t: float) -> np.ndarray:
-    """Load vector (f(t, .), phi_j) by elementwise Gauss quadrature."""
-    out = np.zeros(grid.npoints)
+@functools.lru_cache(maxsize=4)
+def _load_map(grid: StructuredGrid):
+    """Quadrature-to-load matrix Q (npoints x quadrature points) and the
+    quadrature coordinates, one read-only array per direction.
+
+    Column q = p * nelem + e is quadrature point p of element e and holds
+    w * phi_j(p) in the row of the element's local vertex j, so each row of
+    Q lists its terms in the order the elementwise loop accumulated them.
+    """
     elems = _elements(grid)
-    for w, phi, _, xq in _quad_rule(grid):
-        fv = np.broadcast_to(np.asarray(f(t, *xq), dtype=float), xq[0].shape)
-        contrib = w * np.multiply.outer(fv, phi)
-        np.add.at(out, elems, contrib)
-    return out
+    nelem, nloc = elems.shape
+    cols, vals, coords = [], [], []
+    for p, (w, phi, _, xq) in enumerate(_quad_rule(grid)):
+        cols.append(np.repeat(p * nelem + np.arange(nelem), nloc))
+        vals.append(np.tile(w * phi, nelem))
+        coords.append(xq)
+    Q = sp.csr_matrix(
+        (np.concatenate(vals), (np.tile(elems.ravel(), len(cols)), np.concatenate(cols))),
+        shape=(grid.npoints, len(cols) * nelem),
+    )
+    xq = tuple(np.concatenate(c) for c in zip(*coords))
+    for x in xq:
+        x.setflags(write=False)
+    return Q, xq
+
+
+def assemble_load(grid: StructuredGrid, f: Callable, t: float) -> np.ndarray:
+    """Load vector (f(t, .), phi_j) by elementwise Gauss quadrature, as one
+    product of the grid's cached quadrature-to-load matrix with f at the
+    quadrature points."""
+    Q, xq = _load_map(grid)
+    return Q @ np.broadcast_to(np.asarray(f(t, *xq), dtype=float), xq[0].shape)
 
 
 def l2_error(grid: StructuredGrid, u_h: np.ndarray, u_exact: Callable, t: float) -> float:

@@ -73,7 +73,9 @@ class SparseMatrix:
         row_start = ro[1:-1]
         interior = np.ones(len(d), dtype=bool)
         if len(d):
-            interior[row_start[row_start > 0] - 1] = False
+            # a row that starts past the last entry (empty trailing rows)
+            # marks no boundary inside the column index array
+            interior[row_start[(row_start > 0) & (row_start < len(ci))] - 1] = False
             if np.any(d[interior] <= 0):
                 raise ValueError("col_indices must be strictly increasing per row")
 
@@ -130,20 +132,32 @@ def dirichlet_constrain(A: SparseMatrix, dofs, diag_value: float = 1.0) -> Spars
     ``diag_value``, the symmetric treatment that keeps preconditioner blocks
     consistent with a column-eliminated operator.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
     if len(dofs) == 0:
         return A
-    if dofs.min() < 0 or dofs.max() >= A.nrows:
+    C = _constrain_csr(A.to_scipy(), dofs, diag_value)
+    return SparseMatrix(A.nrows, A.ncols, C.indptr, C.indices, C.data)
+
+
+def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_matrix:
+    """``dirichlet_constrain`` on a square CSR matrix in canonical format.
+
+    Stored entries in a constrained row or column are masked out, which
+    leaves every constrained row empty, and one diagonal entry is inserted
+    into each of those rows.
+    """
+    dofs = np.unique(np.asarray(dofs, dtype=np.int64))
+    if dofs[0] < 0 or dofs[-1] >= C.shape[0]:
         raise ValueError("constrained dof index out of range")
-    coo = A.to_scipy().tocoo()
-    mask = np.ones(A.nrows, dtype=bool)
-    mask[dofs] = False
-    keep = mask[coo.row] & mask[coo.col]
-    rows = np.concatenate([coo.row[keep], dofs])
-    cols = np.concatenate([coo.col[keep], dofs])
-    vals = np.concatenate([coo.data[keep], np.full(len(dofs), diag_value)])
-    out = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-    return SparseMatrix.from_scipy(out)
+    free = np.ones(C.shape[0], dtype=bool)
+    free[dofs] = False
+    keep = np.repeat(free, np.diff(C.indptr)) & free[C.indices]
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    kept_indptr = kept_before[C.indptr]
+    at = kept_indptr[dofs]
+    indices = np.insert(C.indices[keep], at, dofs)
+    data = np.insert(C.data[keep], at, diag_value)
+    indptr = kept_indptr + np.concatenate([[0], np.cumsum(~free)])
+    return sp.csr_matrix((data, indices, indptr), shape=C.shape)
 
 
 class BlockFactorization:
@@ -175,20 +189,27 @@ def factorize_block(
     dt: float,
     dirichlet=None,
 ) -> BlockFactorization:
-    """Factorize alpha*M + dt*K, optionally with Dirichlet-constrained rows/cols."""
+    """Factorize alpha*M + dt*K, optionally with Dirichlet-constrained rows/cols.
+
+    SuperLU orders columns by minimum degree on the pattern of C^T + C, which
+    suits the structurally symmetric stage blocks and gives less fill than
+    its default COLAMD; partial pivoting is kept, so nonsymmetric and
+    indefinite blocks factor as before.
+    """
     if M.shape != K.shape or M.nrows != M.ncols:
         raise ValueError("factorize_block needs square M, K of equal shape")
-    C = (alpha * M.to_scipy() + dt * K.to_scipy()).tocsr()
+    C = alpha * M.to_scipy() + dt * K.to_scipy()
     if dirichlet is not None and len(dirichlet):
-        C = dirichlet_constrain(SparseMatrix.from_scipy(C), dirichlet).to_scipy()
+        C = _constrain_csr(C, dirichlet)
+    C = C.tocsc()
     try:
-        lu = spla.splu(C.tocsc())
+        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise FactorizationError(f"stage block factorization failed: {exc}") from exc
     probe = lu.solve(np.ones(M.nrows))
     if not np.all(np.isfinite(probe)):
         raise FactorizationError("stage block is numerically singular")
-    return BlockFactorization(C.tocsc(), lu)
+    return BlockFactorization(C, lu)
 
 
 class KroneckerStageOperator:

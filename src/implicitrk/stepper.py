@@ -21,7 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bcs import BcMethod, DirichletBC, StageUnknown, constrain_stage_system, stage_bc_values
+from .bcs import (
+    BcMethod,
+    ConstrainedStageOperator,
+    DirichletBC,
+    StageUnknown,
+    constrain_stage_system,
+    stage_bc_values,
+)
 from .precond import PreconditionerKind, build_preconditioner
 from .sparsela import (
     KroneckerStageOperator,
@@ -237,26 +244,28 @@ class TimeStepper:
                 self.pc_kind, self.tableau, problem.mass, Ks,
                 self._dt, form, self._dofs(problem),
             )
+        # entries hold their problem: it stays alive, so its id cannot be
+        # recycled by a later problem while the entry exists
         key = (form, self.pc_kind, id(problem))
-        pc = self._pc_cache.get(key)
-        if pc is None or pc.dt != self._dt:
+        owner, pc = self._pc_cache.get(key, (None, None))
+        if owner is not problem or pc.dt != self._dt:
             pc = build_preconditioner(
                 self.pc_kind, self.tableau, problem.mass,
                 problem.stiffness, self._dt, form, self._dofs(problem),
             )
-            self._pc_cache[key] = pc
+            self._pc_cache[key] = (problem, pc)
         return pc
 
     def _dirk_factor(self, aii, problem=None):
         problem = problem or self.problem
         key = (aii, id(problem))
-        fac = self._dirk_factors.get(key)
-        if fac is None:
+        owner, fac = self._dirk_factors.get(key, (None, None))
+        if owner is not problem:
             fac = factorize_block(
                 problem.mass, problem.stiffness, 1.0, self._dt * aii,
                 self._dofs(problem),
             )
-            self._dirk_factors[key] = fac
+            self._dirk_factors[key] = (problem, fac)
         return fac
 
     def step(self, problem: SemidiscreteProblem | None = None):
@@ -453,22 +462,18 @@ def _dirk_stage_newton(stepper, problem, ti, acc, aii, sval):
         op = KroneckerStageOperator(
             np.eye(1), np.array([[aii]]), problem.mass, [Ki], dt
         )
-        sop = op if not len(dofs) else _constrained_op(op, dofs)
+        sop = op if not len(dofs) else ConstrainedStageOperator(op, dofs)
         res = fgmres(sop, -R, fac, stepper.krylov)
         krylov += res.iterations
         delta = res.x
         if len(dofs):
             delta[dofs] = 0.0
         k = k + delta
+        # release this iteration's factors before the next ones are built
+        del Ki, fac, op, sop, res
     raise NonlinearDivergenceError(
         f"DIRK stage Newton did not converge in {nt.maxit} iterations", hist
     )
-
-
-def _constrained_op(op, dofs):
-    from .bcs import ConstrainedStageOperator
-
-    return ConstrainedStageOperator(op, dofs)
 
 
 def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
@@ -549,7 +554,7 @@ def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
         U, _ = stage_states(X)
         Ks = [problem.jacobian_u(t + c[i] * dt, U[i]) for i in range(s)]
         op = KroneckerStageOperator(C1, C2, problem.mass, Ks, dt)
-        sop = op if idx is None else _constrained_op(op, dofs)
+        sop = op if idx is None else ConstrainedStageOperator(op, dofs)
         pc = stepper._preconditioner(pc_form, problem, Ks)
         # the stage-value Jacobian is the w-form operator scaled by 1/dt
         rhs = -R if unknown is not StageUnknown.VALUE else -dt * R
@@ -559,6 +564,8 @@ def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
         if idx is not None:
             delta[idx] = 0.0
         x = x + delta
+        # release this iteration's factors before the next ones are built
+        del Ks, op, sop, pc, res
 
     if unknown is StageUnknown.VALUE and tab.stiffly_accurate:
         u_next = x.reshape(s, m)[-1].copy()
@@ -595,11 +602,12 @@ def advance(stepper: TimeStepper, problem: SemidiscreteProblem, t_final: float):
             stepper.dt = short
             _, rep = stepper.step(problem)
             reports.append(rep)
-            stepper.dt = dt_orig
     except (NonConvergenceError, NonlinearDivergenceError) as exc:
         raise StepFailure(
             f"step {len(reports) + 1} failed after {len(reports)} completed steps: {exc}",
             len(reports),
             reports,
         ) from exc
+    finally:
+        stepper.dt = dt_orig
     return stepper.u, reports

@@ -3,6 +3,8 @@ import pytest
 
 from implicitrk.problems import (
     StructuredGrid,
+    _elements,
+    _quad_rule,
     assemble_heat,
     assemble_load,
     dahlquist,
@@ -117,6 +119,29 @@ class TestLoad:
                         fv = mms.f(0.0, (ex + xi) * h, (ey + eta) * h)
                         ref[loc] += w * fv * phi
         assert np.linalg.norm(v - ref) / np.linalg.norm(ref) < 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 64])
+    def test_matches_elementwise_quadrature(self, dim, n):
+        # reference: the elementwise scatter that the cached quadrature-to-load
+        # matrix replaced
+        g = StructuredGrid(dim, n)
+        f = (heat_mms_1d() if dim == 1 else heat_mms_2d()).f
+        ref = np.zeros(g.npoints)
+        elems = _elements(g)
+        for w, phi, _, xq in _quad_rule(g):
+            np.add.at(ref, elems, w * np.multiply.outer(f(0.37, *xq), phi))
+        v = assemble_load(g, f, 0.37)
+        assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(ref)
+        if n & (n - 1) == 0:
+            # the weights are powers of two, so folding them into the matrix
+            # rounds nothing, and each row adds its terms in the loop's order
+            np.testing.assert_array_equal(v, ref)
+        # a forcing that returns a scalar is broadcast to every point
+        np.testing.assert_array_equal(
+            assemble_load(g, lambda t, *x: 1.0, 0.0),
+            assemble_load(g, lambda t, *x: np.ones_like(x[0]), 0.0),
+        )
 
 
 class TestErrors:

@@ -52,6 +52,12 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(1, 2, [0, 1], [5], [1.0])
 
+    def test_empty_trailing_rows(self):
+        A = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 0.0]])
+        assert A.row_offsets.tolist() == [0, 2, 2]
+        with pytest.raises(ValueError):
+            SparseMatrix(3, 2, [0, 2, 2, 2], [1, 0], [1.0, 1.0])
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(3)
         D = rng.standard_normal((4, 6))
@@ -104,6 +110,44 @@ class TestDirichletConstrain:
         with pytest.raises(ValueError):
             dirichlet_constrain(SparseMatrix.identity(3), [7])
 
+    def test_repeated_dofs_set_the_diagonal_once(self):
+        A = dirichlet_constrain(SparseMatrix.identity(4), [2, 2, 1], 3.0)
+        np.testing.assert_array_equal(A.to_dense().diagonal(), [1.0, 3.0, 3.0, 1.0])
+
+
+def coo_constrain(A, dofs, diag_value):
+    """The COO construction that dirichlet_constrain replaced."""
+    coo = A.to_scipy().tocoo()
+    mask = np.ones(A.nrows, dtype=bool)
+    mask[dofs] = False
+    keep = mask[coo.row] & mask[coo.col]
+    rows = np.concatenate([coo.row[keep], dofs])
+    cols = np.concatenate([coo.col[keep], dofs])
+    vals = np.concatenate([coo.data[keep], np.full(len(dofs), diag_value)])
+    return SparseMatrix.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([1.0, 0.0, 2.5]),
+    st.data(),
+)
+def test_dirichlet_constrain_matches_coo_construction(m, density, seed, diag_value, data):
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((m, m)) < density)
+    vals = rng.standard_normal(len(rows))
+    vals[rng.random(len(rows)) < 0.2] = 0.0  # stored zeros stay stored
+    A = SparseMatrix.from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(m, m)))
+    dofs = np.array(list(data.draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    got = dirichlet_constrain(A, dofs, diag_value)
+    ref = coo_constrain(A, dofs, diag_value)
+    np.testing.assert_array_equal(got.row_offsets, ref.row_offsets)
+    np.testing.assert_array_equal(got.col_indices, ref.col_indices)
+    np.testing.assert_array_equal(got.values, ref.values)
+
 
 class TestFactorizeBlock:
     def test_mass_solve_when_dt_zero(self):
@@ -134,6 +178,47 @@ class TestFactorizeBlock:
             b = rng.standard_normal(10)
             r = fac.matvec(fac.solve(b)) - b
             assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(b)
+
+    @staticmethod
+    def assert_solves(fac, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            b = rng.standard_normal(fac.n)
+            r = fac.matvec(fac.solve(b)) - b
+            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+
+    def test_nonsymmetric_constrained_block(self):
+        M, K = p1_pair(24)
+        # central-difference convection makes the block nonsymmetric
+        conv = sp.diags([-0.5, 0.5], [-1, 1], shape=(25, 25))
+        N = SparseMatrix.from_scipy(K.to_scipy() + 40.0 * conv)
+        fac = factorize_block(M, N, 1.0, 0.05, dirichlet=[0, 24])
+        C = M.to_dense() + 0.05 * N.to_dense()
+        assert not np.allclose(C, C.T)
+        C[[0, 24], :] = 0.0
+        C[:, [0, 24]] = 0.0
+        C[[0, 24], [0, 24]] = 1.0
+        np.testing.assert_array_equal(fac.matrix.toarray(), C)
+        self.assert_solves(fac, 2)
+
+    def test_indefinite_block(self):
+        # M - dt*K has eigenvalues of both signs, as the Jacobian blocks of
+        # a growing reaction term can
+        M, K = p1_pair(24)
+        fac = factorize_block(M, K, 1.0, -0.01)
+        eig = np.linalg.eigvalsh(fac.matrix.toarray())
+        assert eig.min() < 0.0 < eig.max()
+        self.assert_solves(fac, 3)
+
+    def test_zero_diagonal_needs_pivoting(self):
+        # saddle-point block [[A, B], [B^T, 0]]: a solve without row
+        # pivoting would meet zero pivots
+        rng = np.random.default_rng(4)
+        A = np.diag(rng.uniform(1.0, 2.0, 6))
+        B = rng.standard_normal((6, 3))
+        S = np.block([[A, B], [B.T, np.zeros((3, 3))]])
+        fac = factorize_block(SparseMatrix.identity(9), SparseMatrix.from_dense(S), 0.0, 1.0)
+        self.assert_solves(fac, 5)
 
     def test_shape_mismatch(self):
         M, _ = p1_pair(4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import implicitrk.stepper as stepper_mod
-from implicitrk.bcs import StageUnknown
+from implicitrk.bcs import DirichletBC, StageUnknown
 from implicitrk.precond import PreconditionerKind
 from implicitrk.problems import (
     StructuredGrid,
@@ -12,7 +12,13 @@ from implicitrk.problems import (
     prothero_robinson,
     riccati,
 )
-from implicitrk.sparsela import KrylovSettings, SparseMatrix, Splitting, spmv
+from implicitrk.sparsela import (
+    KrylovSettings,
+    NonConvergenceError,
+    SparseMatrix,
+    Splitting,
+    spmv,
+)
 from implicitrk.stepper import (
     FormulationError,
     NewtonSettings,
@@ -387,11 +393,70 @@ class TestAdvance:
         assert 1 <= err.value.completed_steps < 5
         assert len(err.value.reports) == err.value.completed_steps
 
+    def test_failed_short_step_restores_dt(self):
+        p = scalar_problem(1.0)
+        st = TimeStepper(p, radau_iia(1), 0.3, krylov=TIGHT)
+        step = st.step
+
+        def fail_short_step(problem=None):
+            if st.dt != 0.3:
+                raise NonConvergenceError("short step failed", [1.0])
+            return step(problem)
+
+        st.step = fail_short_step
+        with pytest.raises(StepFailure) as err:
+            advance(st, p, 1.0)
+        assert err.value.completed_steps == 3
+        assert st.dt == 0.3
+        assert st.t == pytest.approx(0.9)
+        step(p)
+        assert st.t == pytest.approx(1.2)
+
     def test_backwards_target_rejected(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.1, t0=1.0)
         with pytest.raises(ValueError):
             advance(st, p, 0.5)
+
+
+def scaled_heat_fields(scale, n=12):
+    """Fields of a 1D heat problem with diffusivity ``scale`` and homogeneous
+    Dirichlet data."""
+    grid = StructuredGrid(1, n)
+    M, K, bdofs = assemble_heat(grid)
+    return dict(
+        m=grid.npoints, mass=M,
+        stiffness=SparseMatrix.from_scipy(scale * K.to_scipy()),
+        load=lambda t: np.ones(grid.npoints),
+        dirichlet=DirichletBC(bdofs, g=lambda t: np.zeros(2)),
+        u0=np.sin(np.pi * grid.coords()[:, 0]),
+        grid=grid,
+    )
+
+
+@pytest.mark.parametrize(
+    "form, tab, pc_kind",
+    [(AI, radau_iia(2), PreconditionerKind.BLOCK_DIAGONAL), (DIRK, wsodirk433(), None)],
+)
+def test_factor_caches_follow_the_problem(form, tab, pc_kind):
+    # Problems of alternating diffusivity go through one stepper.  Each one
+    # is freed just before the next is allocated, so CPython hands the new
+    # problem the freed one's id; caches keyed on the id alone served the
+    # freed problem's factors to it.
+    st = TimeStepper(SemidiscreteProblem(**scaled_heat_fields(1.0)), tab, 0.05,
+                     formulation=form, pc_kind=pc_kind, krylov=TIGHT)
+    p = None
+    for scale in (1.0, 1000.0) * 3:
+        fields = scaled_heat_fields(scale)
+        del p
+        p = SemidiscreteProblem(**fields)
+        fresh = TimeStepper(p, tab, 0.05, formulation=form, pc_kind=pc_kind,
+                            krylov=TIGHT, t0=st.t, u0=st.u)
+        u_fresh, rep_fresh = fresh.step(p)
+        del fresh
+        u, rep = st.step(p)
+        assert rep.krylov_iters == rep_fresh.krylov_iters
+        np.testing.assert_array_equal(u, u_fresh)
 
 
 class TestInvariants:
