@@ -4,7 +4,7 @@ the block preconditioner family that makes fully implicit stage counts
 practical."""
 
 from .bcs import BcMethod, DirichletBC, StageUnknown, constrain_stage_system, stage_bc_values
-from .precond import PreconditionerKind, StagePreconditioner, apply_preconditioner, build_preconditioner
+from .precond import PreconditionerKind, StagePreconditioner, build_preconditioner
 from .problems import (
     ManufacturedSolution,
     OdeTestProblem,
@@ -32,7 +32,6 @@ from .sparsela import (
     NonConvergenceError,
     SparseMatrix,
     Splitting,
-    apply_kronecker,
     factorize_block,
     fgmres,
     mm_read,

@@ -18,7 +18,7 @@ import numpy as np
 from . import problems, tableaux
 from .bcs import BcMethod
 from .precond import PreconditionerKind
-from .sparsela import FactorizationError, KrylovSettings, NonConvergenceError, Splitting
+from .sparsela import FactorizationError, KrylovSettings, NonConvergenceError
 from .stepper import (
     NonlinearDivergenceError,
     StageFormulation,
@@ -213,11 +213,6 @@ def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, stages=(1
     grid = problems.StructuredGrid(2, nx)
     problem = problems.mms_heat_problem(grid, mms)
     krylov = KrylovSettings(rtol=rtol)
-    split = (
-        Splitting.IA
-        if formulation is StageFormulation.STAGE_DERIVATIVE_IA
-        else Splitting.AI
-    )
     rows = []
     for s in stages:
         tab = tableaux.radau_iia(s)
@@ -228,7 +223,7 @@ def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, stages=(1
         )
         # factorize the preconditioner blocks now so setup cost stays out of
         # the stepping-loop timing
-        stepper._preconditioner(split, problem)
+        stepper.setup(problem)
         setup = time.perf_counter() - t_setup
         t0 = time.perf_counter()
         try:
@@ -255,8 +250,7 @@ def run_dirk_bench(nx, dt, nsteps, rtol=1e-8):
         stepper = TimeStepper(
             problem, tab, dt, formulation=StageFormulation.DIRK, krylov=krylov
         )
-        for i in range(tab.s):
-            stepper._dirk_factor(tab.A[i, i], problem)
+        stepper.setup(problem)
         setup = time.perf_counter() - t_setup
         t0 = time.perf_counter()
         try:

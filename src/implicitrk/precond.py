@@ -155,7 +155,3 @@ def build_preconditioner(
         else:
             factors.append(factorize_block(M, Ki, 1.0, dt * A_tilde[i, i], dofs))
     return StagePreconditioner(kind, A_tilde, A_tilde_inv, factors, form, M, Ks, dt, dofs)
-
-
-def apply_preconditioner(pc: StagePreconditioner, r) -> np.ndarray:
-    return pc.apply(r)

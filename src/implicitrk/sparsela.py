@@ -271,10 +271,6 @@ class KroneckerStageOperator:
         return out
 
 
-def apply_kronecker(op: KroneckerStageOperator, v) -> np.ndarray:
-    return op.apply(v)
-
-
 @dataclass
 class KrylovSettings:
     """FGMRES controls; defaults follow the solver configuration used in the

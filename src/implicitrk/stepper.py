@@ -101,6 +101,20 @@ class StepReport:
     krylov_iters: int
     final_residual: float
     newton_residuals: list = field(default_factory=list)
+    # stage-block LU factorizations done during the step
+    factorizations: int = 0
+
+
+@dataclass
+class _CachedFactors:
+    """A preconditioner or stage-block factorization held across solves.
+
+    ``its`` is the FGMRES iteration count of the first Newton solve through
+    it; a later one that needs more marks it stale (see ``_lagged_solve``).
+    """
+
+    factors: object
+    its: Optional[int] = None
 
 
 @dataclass
@@ -204,8 +218,11 @@ class TimeStepper:
         self._t_base = float(t0)
         self.step_index = 0
         self._dt = float(dt)
+        # factors reused across solves, all of them for _cached_problem
         self._pc_cache = {}
         self._dirk_factors = {}
+        self._cached_problem = None
+        self._factorizations = 0
 
     @property
     def t(self) -> float:
@@ -234,39 +251,96 @@ class TimeStepper:
         bc = (problem or self.problem).dirichlet
         return bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
 
-    def _preconditioner(self, form: Splitting, problem=None, Ks=None):
-        """Cached for the linear path; Newton passes per-iteration Jacobians."""
-        if self.pc_kind is None:
-            return None
-        problem = problem or self.problem
-        if Ks is not None:
-            return build_preconditioner(
-                self.pc_kind, self.tableau, problem.mass, Ks,
-                self._dt, form, self._dofs(problem),
-            )
-        # entries hold their problem: it stays alive, so its id cannot be
-        # recycled by a later problem while the entry exists
-        key = (form, self.pc_kind, id(problem))
-        owner, pc = self._pc_cache.get(key, (None, None))
-        if owner is not problem or pc.dt != self._dt:
-            pc = build_preconditioner(
-                self.pc_kind, self.tableau, problem.mass,
-                problem.stiffness, self._dt, form, self._dofs(problem),
-            )
-            self._pc_cache[key] = (problem, pc)
+    def _factors(self, problem, cache, key, build) -> _CachedFactors:
+        """The cache entry under ``key``, built by ``build()`` if missing.
+
+        The caches hold one problem's factors: stepping another problem drops
+        them, so a stepper driven over many problems keeps none of the earlier
+        ones alive.
+        """
+        if problem is not self._cached_problem:
+            self._pc_cache.clear()
+            self._dirk_factors.clear()
+            self._cached_problem = problem
+        if key not in cache:
+            cache[key] = _CachedFactors(build())
+        return cache[key]
+
+    def _build_preconditioner(self, form, problem, Ks):
+        pc = build_preconditioner(
+            self.pc_kind, self.tableau, problem.mass, Ks,
+            self._dt, form, self._dofs(problem),
+        )
+        self._factorizations += len(pc.block_factors)
         return pc
 
-    def _dirk_factor(self, aii, problem=None):
-        problem = problem or self.problem
-        key = (aii, id(problem))
-        owner, fac = self._dirk_factors.get(key, (None, None))
-        if owner is not problem:
-            fac = factorize_block(
-                problem.mass, problem.stiffness, 1.0, self._dt * aii,
-                self._dofs(problem),
-            )
-            self._dirk_factors[key] = (problem, fac)
-        return fac
+    def _factorize_stage_block(self, problem, K, aii):
+        self._factorizations += 1
+        return factorize_block(problem.mass, K, 1.0, self._dt * aii, self._dofs(problem))
+
+    def _preconditioner(self, form: Splitting, problem):
+        """The linear path's stage preconditioner, built once per problem and dt."""
+        if self.pc_kind is None:
+            return None
+        return self._factors(
+            problem, self._pc_cache, (form, self.pc_kind),
+            lambda: self._build_preconditioner(form, problem, problem.stiffness),
+        ).factors
+
+    def _dirk_factor(self, aii, problem):
+        """The linear DIRK path's factored stage block for diagonal entry aii."""
+        return self._factors(
+            problem, self._dirk_factors, aii,
+            lambda: self._factorize_stage_block(problem, problem.stiffness, aii),
+        ).factors
+
+    def _lagged_solve(self, problem, cache, key, build, op, rhs):
+        """FGMRES on a Newton system, preconditioned by lagged factors.
+
+        ``op`` carries the current Jacobians, so the Newton update is exact up
+        to the FGMRES tolerance; only the preconditioner under ``key`` lags.
+        ``build()`` makes it from the current Jacobians when it is missing.  A
+        solve through it that needs more iterations than its first solve marks
+        it stale by dropping it, so the next Newton iteration rebuilds it.  If
+        FGMRES fails through lagged factors, they are rebuilt and the solve is
+        retried once; a failure through fresh factors drops them and raises.
+
+        Returns the result and the FGMRES iterations spent, failed attempt
+        included.
+        """
+        wasted = 0
+        while True:
+            entry = self._factors(problem, cache, key, build)
+            lagged = entry.its is not None
+            try:
+                res = fgmres(op, rhs, entry.factors, self.krylov)
+            except NonConvergenceError as exc:
+                del cache[key]
+                if not lagged:
+                    raise
+                wasted += len(exc.residuals) - 1
+                continue
+            if not lagged:
+                entry.its = res.iterations
+            elif res.iterations > entry.its:
+                del cache[key]
+            return res, wasted + res.iterations
+
+    def setup(self, problem: SemidiscreteProblem | None = None):
+        """Factorize now what stepping a linear problem will need.
+
+        Builds the stage preconditioner, or under DIRK the stage block of each
+        distinct diagonal entry, so that their cost is not paid by the first
+        step.  Newton factors depend on the iterate and are built when needed.
+        """
+        problem = problem if problem is not None else self.problem
+        if not problem.is_linear:
+            return
+        if self.formulation is StageFormulation.DIRK:
+            for aii in np.unique(np.diag(self.tableau.A)):
+                self._dirk_factor(aii, problem)
+        else:
+            self._preconditioner(_SPLIT[self.formulation], problem)
 
     def step(self, problem: SemidiscreteProblem | None = None):
         problem = problem if problem is not None else self.problem
@@ -353,6 +427,7 @@ def step_linear(stepper: TimeStepper, problem: SemidiscreteProblem):
     form = stepper.formulation
     if form is StageFormulation.DIRK:
         return step_dirk(stepper, problem)
+    factorized = stepper._factorizations
     if form is StageFormulation.STAGE_VALUE:
         op, rhs = _stage_value_system(problem, tab, t, dt, u)
     else:
@@ -368,7 +443,8 @@ def step_linear(stepper: TimeStepper, problem: SemidiscreteProblem):
     else:
         K_stages = X if form is StageFormulation.STAGE_DERIVATIVE_AI else np.linalg.solve(tab.A, X)
         u_next = u + dt * (tab.b @ K_stages)
-    report = StepReport(0, res.iterations, res.residuals[-1])
+    report = StepReport(0, res.iterations, res.residuals[-1],
+                        factorizations=stepper._factorizations - factorized)
     stepper._commit(u_next)
     return u_next, report
 
@@ -386,6 +462,7 @@ def step_dirk(stepper: TimeStepper, problem: SemidiscreteProblem):
             f"DIRK stepping needs a lower-triangular tableau, got {tab.name!r}"
         )
     s, m = tab.s, problem.m
+    factorized = stepper._factorizations
     bc = problem.dirichlet
     svals = None
     if bc is not None and len(bc.dofs):
@@ -428,7 +505,8 @@ def step_dirk(stepper: TimeStepper, problem: SemidiscreteProblem):
             ki[bc.dofs] = svals[i]
         K_stages[i] = ki
     u_next = u + dt * (tab.b @ K_stages)
-    report = StepReport(newton_total, krylov_total, final_res, newton_hist)
+    report = StepReport(newton_total, krylov_total, final_res, newton_hist,
+                        stepper._factorizations - factorized)
     stepper._commit(u_next)
     return u_next, report
 
@@ -458,19 +536,20 @@ def _dirk_stage_newton(stepper, problem, ti, acc, aii, sval):
         if it == nt.maxit:
             break
         Ki = problem.jacobian_u(ti, ui)
-        fac = factorize_block(problem.mass, Ki, 1.0, dt * aii, dofs)
         op = KroneckerStageOperator(
             np.eye(1), np.array([[aii]]), problem.mass, [Ki], dt
         )
         sop = op if not len(dofs) else ConstrainedStageOperator(op, dofs)
-        res = fgmres(sop, -R, fac, stepper.krylov)
-        krylov += res.iterations
+        res, its = stepper._lagged_solve(
+            problem, stepper._dirk_factors, aii,
+            lambda: stepper._factorize_stage_block(problem, Ki, aii), sop, -R,
+        )
+        krylov += its
         delta = res.x
         if len(dofs):
             delta[dofs] = 0.0
         k = k + delta
-        # release this iteration's factors before the next ones are built
-        del Ki, fac, op, sop, res
+        del Ki, op, sop, res
     raise NonlinearDivergenceError(
         f"DIRK stage Newton did not converge in {nt.maxit} iterations", hist
     )
@@ -482,7 +561,8 @@ def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
     The unknown follows the formulation: stage derivatives (AI), Butcher
     variables w (IA), or stage values.  In the w and value forms the
     stiffness Jacobians appear only on the block diagonal.  Per-stage
-    Jacobians are refreshed every Newton iteration.
+    Jacobians are refreshed every Newton iteration; the preconditioner built
+    from them lags across iterations and steps (``TimeStepper._lagged_solve``).
     """
     tab, dt, t, u = stepper.tableau, stepper.dt, stepper.t, stepper.u
     form = stepper.formulation
@@ -490,6 +570,7 @@ def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
         return step_dirk(stepper, problem)
     unknown = _UNKNOWN[form]
     s, m = tab.s, problem.m
+    factorized = stepper._factorizations
     A = tab.A
     c = tab.c
     bc = problem.dirichlet
@@ -555,23 +636,32 @@ def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
         Ks = [problem.jacobian_u(t + c[i] * dt, U[i]) for i in range(s)]
         op = KroneckerStageOperator(C1, C2, problem.mass, Ks, dt)
         sop = op if idx is None else ConstrainedStageOperator(op, dofs)
-        pc = stepper._preconditioner(pc_form, problem, Ks)
         # the stage-value Jacobian is the w-form operator scaled by 1/dt
         rhs = -R if unknown is not StageUnknown.VALUE else -dt * R
-        res = fgmres(sop, rhs, pc, stepper.krylov)
-        krylov_total += res.iterations
+        if stepper.pc_kind is None:
+            res = fgmres(sop, rhs, None, stepper.krylov)
+            its = res.iterations
+        else:
+            res, its = stepper._lagged_solve(
+                problem, stepper._pc_cache, (pc_form, stepper.pc_kind),
+                lambda: stepper._build_preconditioner(pc_form, problem, Ks),
+                sop, rhs,
+            )
+        krylov_total += its
         delta = res.x
         if idx is not None:
             delta[idx] = 0.0
         x = x + delta
-        # release this iteration's factors before the next ones are built
-        del Ks, op, sop, pc, res
+        # release this iteration's Jacobians and operator before the next
+        # ones are built; the lagged preconditioner keeps what it needs
+        del Ks, op, sop, res
 
     if unknown is StageUnknown.VALUE and tab.stiffly_accurate:
         u_next = x.reshape(s, m)[-1].copy()
     else:
         u_next = u + dt * (tab.b @ Kv)
-    report = StepReport(len(hist) - 1, krylov_total, hist[-1], hist)
+    report = StepReport(len(hist) - 1, krylov_total, hist[-1], hist,
+                        stepper._factorizations - factorized)
     stepper._commit(u_next)
     return u_next, report
 

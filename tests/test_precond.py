@@ -3,7 +3,6 @@ import pytest
 
 from implicitrk.precond import (
     PreconditionerKind,
-    apply_preconditioner,
     build_preconditioner,
 )
 from implicitrk.sparsela import (
@@ -124,7 +123,7 @@ class TestApply:
         dense = dense_pc_matrix(pc)
         rng = np.random.default_rng(tab.s + 17)
         r = rng.standard_normal(tab.s * m)
-        x = apply_preconditioner(pc, r)
+        x = pc.apply(r)
         ref = np.linalg.solve(dense, r)
         np.testing.assert_allclose(x, ref, atol=1e-10 * max(1.0, np.linalg.norm(ref)))
 

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import implicitrk.stepper as stepper_mod
 from implicitrk.bcs import DirichletBC, StageUnknown
@@ -7,8 +11,11 @@ from implicitrk.precond import PreconditionerKind
 from implicitrk.problems import (
     StructuredGrid,
     assemble_heat,
+    assemble_load,
     dahlquist,
+    heat_mms_2d,
     incompatible_heat_1d,
+    interpolate,
     prothero_robinson,
     riccati,
 )
@@ -206,8 +213,12 @@ class TestStepDirk:
         case = riccati()
         st = TimeStepper(case.problem, alexander_dirk(), 0.02, formulation=DIRK,
                          krylov=TIGHT)
-        u, _ = advance(st, case.problem, 0.2)
+        u, reports = advance(st, case.problem, 0.2)
         assert u[0] == pytest.approx(case.exact(0.2), abs=5e-6)
+        # the three stages share a_ii: one factorization serves every Newton
+        # iteration of every stage and step
+        assert [r.factorizations for r in reports] == [1] + [0] * 9
+        assert sum(r.newton_iters for r in reports) > 30
 
 
 class TestStepNewton:
@@ -285,11 +296,11 @@ class TestStepNewton:
         u, _ = advance(st, case.problem, 0.5)
         assert u[0] == pytest.approx(case.exact(0.5), abs=2e-8)
 
-    def test_nonlinear_pde_vs_dense_newton_oracle(self):
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_nonlinear_pde_vs_dense_newton_oracle(self, steps):
         # cubic reaction term: M u' + K u + M u^3 = load(t); per-stage
-        # Jacobians K + 3 M diag(u_i^2) enter both the operator and the
-        # preconditioner blocks
-        import scipy.sparse as sp
+        # Jacobians K + 3 M diag(u_i^2) enter the operator in every Newton
+        # iteration, while the preconditioner blocks built from them lag
 
         grid = StructuredGrid(1, 12)
         M, K, _ = assemble_heat(grid)
@@ -314,30 +325,34 @@ class TestStepNewton:
         st = TimeStepper(p, tab, dt, krylov=TIGHT,
                          newton=NewtonSettings(rtol=1e-13, atol=1e-14),
                          pc_kind=PreconditionerKind.RANA_LD)
-        u1, rep = st.step(p)
-        assert 2 <= rep.newton_iters <= 8
+        reports = [st.step(p)[1] for _ in range(steps)]
+        assert all(2 <= rep.newton_iters <= 8 for rep in reports)
+        # one Rana-LD build (2 blocks) serves every Newton iteration
+        assert [rep.factorizations for rep in reports] == [2] + [0] * (steps - 1)
 
         # dense brute-force Newton on the stacked stage system
         Md, Kd = M.to_dense(), K.to_dense()
-        k = np.zeros((2, m))
-        u0 = p.u0
-        for _ in range(60):
-            U = u0[None, :] + dt * (tab.A @ k)
-            R = np.stack([Md @ k[i] + Kd @ U[i] + Md @ U[i] ** 3 - load
-                          for i in range(2)])
-            if np.linalg.norm(R) < 1e-13:
-                break
-            J = np.zeros((2 * m, 2 * m))
-            for i in range(2):
-                Ki = Kd + Md @ np.diag(3 * U[i] ** 2)
-                for j in range(2):
-                    blk = dt * tab.A[i, j] * Ki
-                    if i == j:
-                        blk = blk + Md
-                    J[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-            k = k - np.linalg.solve(J, R.ravel()).reshape(2, m)
-        expect = u0 + dt * (tab.b @ k)
-        np.testing.assert_allclose(u1, expect, atol=1e-10)
+        expect = p.u0
+        for _ in range(steps):
+            k = np.zeros((2, m))
+            u0 = expect
+            for _ in range(60):
+                U = u0[None, :] + dt * (tab.A @ k)
+                R = np.stack([Md @ k[i] + Kd @ U[i] + Md @ U[i] ** 3 - load
+                              for i in range(2)])
+                if np.linalg.norm(R) < 1e-13:
+                    break
+                J = np.zeros((2 * m, 2 * m))
+                for i in range(2):
+                    Ki = Kd + Md @ np.diag(3 * U[i] ** 2)
+                    for j in range(2):
+                        blk = dt * tab.A[i, j] * Ki
+                        if i == j:
+                            blk = blk + Md
+                        J[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
+                k = k - np.linalg.solve(J, R.ravel()).reshape(2, m)
+            expect = u0 + dt * (tab.b @ k)
+        np.testing.assert_allclose(st.u, expect, atol=1e-10)
 
     def test_divergence_raises_with_history(self):
         # backward Euler stage equation k = (1 + dt k)^2 has no real root
@@ -457,6 +472,149 @@ def test_factor_caches_follow_the_problem(form, tab, pc_kind):
         u, rep = st.step(p)
         assert rep.krylov_iters == rep_fresh.krylov_iters
         np.testing.assert_array_equal(u, u_fresh)
+
+
+@pytest.mark.parametrize(
+    "form, tab, pc_kind",
+    [(AI, radau_iia(2), PreconditionerKind.BLOCK_DIAGONAL), (DIRK, wsodirk433(), None)],
+)
+def test_factor_caches_drop_earlier_problems(form, tab, pc_kind):
+    st = TimeStepper(SemidiscreteProblem(**scaled_heat_fields(1.0)), tab, 0.05,
+                     formulation=form, pc_kind=pc_kind, krylov=TIGHT)
+    stepped = []
+    for i in range(20):
+        p = SemidiscreteProblem(**scaled_heat_fields(1.0 + i))
+        st.step(p)
+        stepped.append(weakref.ref(p))
+    del p
+    gc.collect()
+    assert [ref() is None for ref in stepped] == [True] * 19 + [False]
+
+
+@pytest.mark.parametrize(
+    "form, tab, pc_kind, factorizations",
+    [
+        (AI, radau_iia(3), PreconditionerKind.RANA_LD, 3),
+        (VALUE, radau_iia(2), PreconditionerKind.BLOCK_LOWER, 2),
+        (AI, radau_iia(2), None, 0),
+        # WSODIRK433 has four distinct diagonal entries, Alexander's one
+        (DIRK, wsodirk433(), None, 4),
+        (DIRK, alexander_dirk(), None, 1),
+    ],
+)
+def test_setup_factorizes_what_linear_steps_need(form, tab, pc_kind, factorizations):
+    p = SemidiscreteProblem(**scaled_heat_fields(1.0))
+    cold = TimeStepper(p, tab, 0.05, formulation=form, pc_kind=pc_kind, krylov=TIGHT)
+    warm = TimeStepper(p, tab, 0.05, formulation=form, pc_kind=pc_kind, krylov=TIGHT)
+    warm.setup()
+    reports = [(cold.step(p)[1], warm.step(p)[1]) for _ in range(3)]
+    assert [c.factorizations for c, _ in reports] == [factorizations, 0, 0]
+    assert [w.factorizations for _, w in reports] == [0, 0, 0]
+    assert [c.krylov_iters for c, _ in reports] == [w.krylov_iters for _, w in reports]
+    np.testing.assert_array_equal(cold.u, warm.u)
+
+
+def allen_cahn_2d(n, kappa=lambda t: 1.0):
+    """u_t - kappa(t) laplace(u) + u^3 = f on the unit square, Q1 with a
+    lumped cubic term; forcing and Dirichlet data make heat_mms_2d's solution
+    exact while kappa = 1."""
+    grid = StructuredGrid(2, n)
+    mms = heat_mms_2d()
+    M, K, bdofs = assemble_heat(grid)
+    lumped = np.asarray(M.to_scipy().sum(axis=1)).ravel()
+
+    def forcing(t, x, y):
+        return mms.f(t, x, y) + mms.u(t, x, y) ** 3
+
+    def residual(t, u, udot):
+        return (spmv(M, udot) + kappa(t) * spmv(K, u) + lumped * u**3
+                - assemble_load(grid, forcing, t))
+
+    def jacobian_u(t, u):
+        return SparseMatrix.from_scipy(
+            kappa(t) * K.to_scipy() + sp.diags(3.0 * lumped * u**2)
+        )
+
+    bxy = grid.coords()[bdofs]
+    return SemidiscreteProblem(
+        m=grid.npoints, mass=M, residual=residual, jacobian_u=jacobian_u,
+        dirichlet=DirichletBC(bdofs, g=lambda t: mms.u(t, bxy[:, 0], bxy[:, 1])),
+        u0=interpolate(grid, mms.u, 0.0), grid=grid,
+    )
+
+
+class TestLaggedNewtonPreconditioner:
+    """The Newton operator uses the current Jacobians; the Rana-LD
+    preconditioner built from them is reused until it goes stale."""
+
+    @staticmethod
+    def stepper(p, **kw):
+        return TimeStepper(p, radau_iia(3), 1 / 16, formulation=IA,
+                           pc_kind=PreconditionerKind.RANA_LD,
+                           newton=NewtonSettings(rtol=1e-8), **kw)
+
+    def fresh_step(self, st, p, **kw):
+        """The step st is about to take, by a stepper with no cached factors."""
+        return self.stepper(p, t0=st.t, u0=st.u, **kw).step(p)
+
+    def test_factorized_once_across_steps(self):
+        p = allen_cahn_2d(16)
+        st = self.stepper(p)
+        for k in range(4):
+            u_fresh, rep_fresh = self.fresh_step(st, p)
+            u, rep = st.step(p)
+            assert rep.factorizations == (3 if k == 0 else 0)
+            assert rep_fresh.factorizations == 3
+            assert rep.newton_iters == rep_fresh.newton_iters
+            assert rep.krylov_iters == rep_fresh.krylov_iters
+            np.testing.assert_allclose(u, u_fresh, rtol=0, atol=1e-10)
+
+    def test_stale_preconditioner_is_rebuilt(self):
+        # the diffusivity jumps 30-fold inside step 4, so the lagged blocks
+        # stop matching the Jacobians and FGMRES needs more iterations
+        p = allen_cahn_2d(16, kappa=lambda t: 1.0 if t < 0.28 else 30.0)
+        st = self.stepper(p)
+        factorizations = []
+        for _ in range(7):
+            u_fresh, _ = self.fresh_step(st, p)
+            u, rep = st.step(p)
+            factorizations.append(rep.factorizations)
+            np.testing.assert_allclose(u, u_fresh, rtol=0, atol=1e-10)
+        assert factorizations[:4] == [3, 0, 0, 0]
+        assert factorizations[4] > 0
+        assert factorizations[-1] == 0
+
+    def test_failed_lagged_solve_is_retried_with_fresh_factors(self):
+        # fresh blocks need at most 6 FGMRES iterations per Newton solve here,
+        # the lagged ones 18 just after the jump
+        krylov = KrylovSettings(rtol=1e-8, maxit=10)
+        p = allen_cahn_2d(16, kappa=lambda t: 1.0 if t < 0.28 else 30.0)
+        st = self.stepper(p, krylov=krylov)
+        for k in range(6):
+            u_fresh, rep_fresh = self.fresh_step(st, p, krylov=krylov)
+            u, rep = st.step(p)
+            np.testing.assert_allclose(u, u_fresh, rtol=0, atol=1e-10)
+            if k == 4:
+                assert rep.factorizations == 3
+                # the failed attempt's iterations are counted too
+                assert rep.krylov_iters >= rep_fresh.krylov_iters + krylov.maxit
+
+    def test_failure_through_fresh_factors_raises_and_drops_them(self):
+        p = allen_cahn_2d(16)
+        st = self.stepper(p)
+        st.step(p)
+        t, u = st.t, st.u.copy()
+        st.krylov = KrylovSettings(rtol=1e-8, maxit=2)
+        with pytest.raises(NonConvergenceError):
+            st.step(p)
+        assert st.t == t
+        np.testing.assert_array_equal(st.u, u)
+        st.krylov = KrylovSettings()
+        u_fresh, rep_fresh = self.fresh_step(st, p)
+        u_next, rep = st.step(p)
+        assert rep.factorizations == 3
+        assert rep.krylov_iters == rep_fresh.krylov_iters
+        np.testing.assert_allclose(u_next, u_fresh, rtol=0, atol=1e-10)
 
 
 class TestInvariants:
