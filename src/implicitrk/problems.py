@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bcs import DirichletBC
-from .sparsela import SparseMatrix, spmv
+from .sparsela import SparseMatrix, spmv, tensor_product_pair
 from .stepper import SemidiscreteProblem
 
 _GAUSS2 = ((0.5 - 0.5 / np.sqrt(3.0), 0.5), (0.5 + 0.5 / np.sqrt(3.0), 0.5))
@@ -85,19 +85,16 @@ def assemble_heat(grid: StructuredGrid):
     (1/h)[-1, 2, -1]; the 2D Q1 operators are M1 (x) M1 and
     K1 (x) M1 + M1 (x) K1 (y factor first, matching the dof numbering).
     K is symmetric positive semidefinite with the constants as nullspace,
-    M symmetric positive definite.
+    M symmetric positive definite.  The 2D pair carries its 1D factors, so
+    its stage blocks under Dirichlet data on the whole boundary are solved
+    by fast diagonalization (see ``factorize_block``).
     """
     M1, K1 = _p1_matrices(grid.n)
     if grid.dim == 1:
-        M, K = M1, K1
+        M, K = SparseMatrix.from_scipy(M1), SparseMatrix.from_scipy(K1)
     else:
-        M = sp.kron(M1, M1, format="csr")
-        K = (sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr()
-    return (
-        SparseMatrix.from_scipy(M),
-        SparseMatrix.from_scipy(K),
-        grid.boundary_dofs(),
-    )
+        M, K = tensor_product_pair(M1, K1)
+    return M, K, grid.boundary_dofs()
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ s^2*nnz for the A (x) K form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -46,6 +48,10 @@ class SparseMatrix:
     Immutable after construction; the underlying arrays are shared with a
     cached scipy view, so instances are safe to share across threads.
     """
+
+    # (TensorPair, "mass" or "stiffness") on the matrices made by
+    # tensor_product_pair, None on every other matrix
+    _tensor = None
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
@@ -160,18 +166,118 @@ def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_ma
     return sp.csr_matrix((data, indices, indptr), shape=C.shape)
 
 
-class BlockFactorization:
-    """Direct sparse LU of one stage block alpha*M + dt*K.
+class TensorPair:
+    """The 1D factors of a 2D pair M = M1 (x) M1, K = K1 (x) M1 + M1 (x) K1.
 
-    SuperLU's fill-reducing column ordering is used; the contract is only the
-    solve residual.  ``apply`` aliases ``solve`` so a factorization can stand
-    in as an exact preconditioner.
+    Vertices are numbered lexicographically on an n1-by-n1 lattice.  The
+    generalized eigendecomposition of the interior 1D matrices does not
+    depend on a block's alpha or dt, so it is computed once per pair, when
+    the first block is factorized.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, lu):
-        self.matrix = matrix
+    def __init__(self, M1: sp.csr_matrix, K1: sp.csr_matrix):
+        self.M1 = M1
+        self.K1 = K1
+        self.n1 = M1.shape[0]
+        edge = np.zeros((self.n1, self.n1), dtype=bool)
+        edge[[0, -1], :] = edge[:, [0, -1]] = True
+        # sorted indices of the lattice's boundary vertices
+        self.boundary = np.flatnonzero(edge)
+
+    @functools.cached_property
+    def interior_eig(self):
+        """(lam, V) with K1i V = M1i V diag(lam) and V^T M1i V = I, where
+        M1i, K1i are M1, K1 without their first and last rows and columns."""
+        inner = slice(1, self.n1 - 1)
+        return scipy.linalg.eigh(
+            self.K1[inner, inner].toarray(), self.M1[inner, inner].toarray()
+        )
+
+
+def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
+    """2D mass M1 (x) M1 and stiffness K1 (x) M1 + M1 (x) K1 of 1D factors.
+
+    ``M1`` must be symmetric and positive definite, ``K1`` symmetric.  The
+    two results carry their factors, so that ``factorize_block`` solves their
+    boundary-constrained blocks by fast diagonalization.  Every other
+    ``SparseMatrix``, copies of these two included, carries none.
+    """
+    M1, K1 = sp.csr_matrix(M1), sp.csr_matrix(K1)
+    if M1.shape != K1.shape or M1.shape[0] != M1.shape[1]:
+        raise ValueError("tensor_product_pair needs square M1, K1 of equal shape")
+    if abs(M1 - M1.T).max() != 0.0 or abs(K1 - K1.T).max() != 0.0:
+        raise ValueError("tensor_product_pair needs symmetric M1, K1")
+    M = SparseMatrix.from_scipy(sp.kron(M1, M1, format="csr"))
+    K = SparseMatrix.from_scipy((sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr())
+    pair = TensorPair(M1, K1)
+    M._tensor = (pair, "mass")
+    K._tensor = (pair, "stiffness")
+    return M, K
+
+
+def _tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dirichlet):
+    """The pair whose block alpha*M + dt*K, constrained on ``dirichlet``, the
+    fast diagonalization solves exactly, or None."""
+    if M._tensor is None or K._tensor is None:
+        return None
+    (pair, role_m), (pair_k, role_k) = M._tensor, K._tensor
+    if pair is not pair_k or (role_m, role_k) != ("mass", "stiffness"):
+        return None
+    if dirichlet is None or not np.array_equal(np.unique(dirichlet), pair.boundary):
+        return None
+    return pair
+
+
+class _FastDiagonalization:
+    """Exact solve of the block alpha*M + dt*K of a tensor pair whose
+    boundary rows and columns are replaced by the identity.
+
+    The block is the identity on the boundary.  On the interior it is
+    (V^-T (x) V^-T) diag(alpha + dt*(lam_i + lam_j)) (V^-1 (x) V^-1), so
+    x = V (V^T R V / D) V^T for the interior values R of the right-hand side
+    (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).
+    """
+
+    def __init__(self, pair: TensorPair, alpha: float, dt: float):
+        lam, self.V = pair.interior_eig
+        with np.errstate(all="ignore"):
+            self.D = alpha + dt * (lam[:, None] + lam[None, :])
+        if not np.all(np.isfinite(self.D)) or np.any(self.D == 0.0):
+            raise FactorizationError(
+                "stage block is singular: an eigenvalue alpha + dt*(lam_i + lam_j) "
+                "is zero or not finite"
+            )
+        self.n1 = pair.n1
+
+    def solve(self, b) -> np.ndarray:
+        x = np.array(b, dtype=float)
+        # one lattice per right-hand side: b may be (n,) or (n, k), as for SuperLU
+        X = x.T.reshape(-1, self.n1, self.n1)
+        V = self.V
+        X[:, 1:-1, 1:-1] = V @ ((V.T @ X[:, 1:-1, 1:-1] @ V) / self.D) @ V.T
+        return x
+
+
+class BlockFactorization:
+    """Factored stage block alpha*M + dt*K.
+
+    The solve is a fast diagonalization for the boundary-constrained blocks
+    of a ``tensor_product_pair`` and a SuperLU sparse LU, with a
+    fill-reducing column ordering, for every other block; the contract is
+    only the solve residual.  ``apply`` aliases ``solve`` so a factorization
+    can stand in as an exact preconditioner.
+    """
+
+    def __init__(self, lu, n: int, build_matrix):
         self._lu = lu
-        self.n = matrix.shape[0]
+        self.n = n
+        self._build_matrix = build_matrix
+
+    @functools.cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """The constrained block in CSC form.  The fast diagonalization
+        never needs it, so it is built on first use."""
+        return self._build_matrix()
 
     def solve(self, b) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
@@ -180,6 +286,13 @@ class BlockFactorization:
 
     def matvec(self, x) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
+
+
+def _block_matrix(M, K, alpha, dt, dirichlet) -> sp.csc_matrix:
+    C = alpha * M.to_scipy() + dt * K.to_scipy()
+    if dirichlet is not None and len(dirichlet):
+        C = _constrain_csr(C, dirichlet)
+    return C.tocsc()
 
 
 def factorize_block(
@@ -191,25 +304,31 @@ def factorize_block(
 ) -> BlockFactorization:
     """Factorize alpha*M + dt*K, optionally with Dirichlet-constrained rows/cols.
 
-    SuperLU orders columns by minimum degree on the pattern of C^T + C, which
-    suits the structurally symmetric stage blocks and gives less fill than
-    its default COLAMD; partial pivoting is kept, so nonsymmetric and
-    indefinite blocks factor as before.
+    When M and K are the mass and stiffness of one ``tensor_product_pair``
+    and ``dirichlet`` is exactly its lattice boundary, the block is solved by
+    fast diagonalization, which needs no sparse LU.  Every other block goes
+    to SuperLU, which orders columns by minimum degree on the pattern of
+    C^T + C: that suits the structurally symmetric stage blocks and gives
+    less fill than its default COLAMD.  Partial pivoting is kept, so
+    nonsymmetric and indefinite blocks factor as before.
     """
     if M.shape != K.shape or M.nrows != M.ncols:
         raise ValueError("factorize_block needs square M, K of equal shape")
-    C = alpha * M.to_scipy() + dt * K.to_scipy()
-    if dirichlet is not None and len(dirichlet):
-        C = _constrain_csr(C, dirichlet)
-    C = C.tocsc()
-    try:
-        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise FactorizationError(f"stage block factorization failed: {exc}") from exc
+    pair = _tensor_pair_of(M, K, dirichlet)
+    if pair is not None:
+        lu = _FastDiagonalization(pair, alpha, dt)
+        build_matrix = functools.partial(_block_matrix, M, K, alpha, dt, pair.boundary)
+    else:
+        C = _block_matrix(M, K, alpha, dt, dirichlet)
+        try:
+            lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise FactorizationError(f"stage block factorization failed: {exc}") from exc
+        build_matrix = lambda: C
     probe = lu.solve(np.ones(M.nrows))
     if not np.all(np.isfinite(probe)):
         raise FactorizationError("stage block is numerically singular")
-    return BlockFactorization(C, lu)
+    return BlockFactorization(lu, M.nrows, build_matrix)
 
 
 class KroneckerStageOperator:

@@ -168,7 +168,9 @@ class TimeStepper:
     One instance drives one trajectory; distinct instances may run
     concurrently on distinct problems.  Time is tracked as
     t_base + step_index * dt so thousands of steps accumulate no drift; a dt
-    change rebases the clock and invalidates cached factorizations.
+    change rebases the clock.  Cached factorizations are keyed on dt, and a
+    dt change keeps only those of the new and the previous dt, so the short
+    last step of ``advance`` costs the full steps' factors nothing.
     """
 
     def __init__(
@@ -218,7 +220,8 @@ class TimeStepper:
         self._t_base = float(t0)
         self.step_index = 0
         self._dt = float(dt)
-        # factors reused across solves, all of them for _cached_problem
+        # factors reused across solves, keyed on (dt, key), all of them for
+        # _cached_problem
         self._pc_cache = {}
         self._dirk_factors = {}
         self._cached_problem = None
@@ -237,11 +240,13 @@ class TimeStepper:
         if value <= 0:
             raise ValueError("dt must be positive")
         if value != self._dt:
+            kept = (self._dt, float(value))
             self._t_base = self.t
             self.step_index = 0
             self._dt = float(value)
-            self._pc_cache.clear()
-            self._dirk_factors.clear()
+            for cache in (self._pc_cache, self._dirk_factors):
+                for key in [k for k in cache if k[0] not in kept]:
+                    del cache[key]
 
     def _commit(self, u_next):
         self.u = u_next
@@ -252,7 +257,8 @@ class TimeStepper:
         return bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
 
     def _factors(self, problem, cache, key, build) -> _CachedFactors:
-        """The cache entry under ``key``, built by ``build()`` if missing.
+        """The cache entry under ``key`` at the current dt, built by
+        ``build()`` if missing.
 
         The caches hold one problem's factors: stepping another problem drops
         them, so a stepper driven over many problems keeps none of the earlier
@@ -262,6 +268,7 @@ class TimeStepper:
             self._pc_cache.clear()
             self._dirk_factors.clear()
             self._cached_problem = problem
+        key = (self._dt, key)
         if key not in cache:
             cache[key] = _CachedFactors(build())
         return cache[key]
@@ -315,7 +322,7 @@ class TimeStepper:
             try:
                 res = fgmres(op, rhs, entry.factors, self.krylov)
             except NonConvergenceError as exc:
-                del cache[key]
+                del cache[(self._dt, key)]
                 if not lagged:
                     raise
                 wasted += len(exc.residuals) - 1
@@ -323,7 +330,7 @@ class TimeStepper:
             if not lagged:
                 entry.its = res.iterations
             elif res.iterations > entry.its:
-                del cache[key]
+                del cache[(self._dt, key)]
             return res, wasted + res.iterations
 
     def setup(self, problem: SemidiscreteProblem | None = None):
@@ -417,7 +424,8 @@ def _solve_constrained(stepper, problem, op, rhs, unknown, t):
     if svals is not None:
         idx = (np.arange(op.s)[:, None] * op.m + bc.dofs[None, :]).ravel()
         x[idx] = svals.ravel()
-    stepper._last_stages = x.copy()
+    if stepper.warm_start:
+        stepper._last_stages = x.copy()
     return x, res
 
 

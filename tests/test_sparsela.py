@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
+from implicitrk.problems import StructuredGrid, assemble_heat
 from implicitrk.sparsela import (
     FactorizationError,
     KroneckerStageOperator,
@@ -225,6 +228,122 @@ class TestFactorizeBlock:
         K, _ = p1_pair(5)
         with pytest.raises(ValueError):
             factorize_block(M, K, 1.0, 1.0)
+
+
+def uses_superlu(fac):
+    return isinstance(fac._lu, spla.SuperLU)
+
+
+def constrained_dense(M, K, alpha, dt, dofs):
+    C = alpha * M.to_dense() + dt * K.to_dense()
+    C[dofs, :] = 0.0
+    C[:, dofs] = 0.0
+    C[dofs, dofs] = 1.0
+    return C
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=24),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-3.0, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=0.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_tensor_path_matches_superlu_and_dense_solve(n, sign, log_alpha, log_dt, seed):
+    # alpha of both signs: with alpha < 0 the block can be indefinite
+    M, K, bdofs = assemble_heat(StructuredGrid(2, n))
+    alpha, dt = sign * 10.0**log_alpha, 10.0**log_dt
+    C = constrained_dense(M, K, alpha, dt, bdofs)
+    cond = np.linalg.cond(C)
+    assume(cond < 1e10)
+    fast = factorize_block(M, K, alpha, dt, bdofs)
+    # a copy carries no 1D factors, so it takes the SuperLU path
+    lu = factorize_block(SparseMatrix.from_scipy(M.to_scipy()), K, alpha, dt, bdofs)
+    assert not uses_superlu(fast) and uses_superlu(lu)
+    np.testing.assert_array_equal(fast.matrix.toarray(), C)
+    b = np.random.default_rng(seed).standard_normal(C.shape[0])
+    x = fast.solve(b)
+    # relative residual in the normwise backward-error sense
+    rel = np.abs(C @ x - b).max() / (np.abs(C).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+    assert rel <= 1e-12
+    for ref in (lu.solve(b), np.linalg.solve(C, b)):
+        assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+
+
+class TestTensorPath:
+    """Which blocks factorize_block solves by fast diagonalization."""
+
+    N = 6
+
+    def heat(self):
+        return assemble_heat(StructuredGrid(2, self.N))
+
+    def assert_solves(self, fac, M, K, alpha, dt, dofs):
+        C = constrained_dense(M, K, alpha, dt, dofs)
+        b = np.random.default_rng(0).standard_normal(C.shape[0])
+        np.testing.assert_allclose(fac.solve(b), np.linalg.solve(C, b), rtol=1e-10, atol=1e-12)
+
+    def test_assembled_pair_with_boundary_data(self):
+        M, K, bdofs = self.heat()
+        # order and repeats in the Dirichlet set do not matter
+        dofs = np.concatenate([bdofs[::-1], bdofs[:3]])
+        fac = factorize_block(M, K, 0.5, 0.1, dofs)
+        assert not uses_superlu(fac)
+        self.assert_solves(fac, M, K, 0.5, 0.1, bdofs)
+        # several right-hand sides at once, as SuperLU takes them
+        B = np.random.default_rng(1).standard_normal((M.nrows, 3))
+        np.testing.assert_array_equal(fac.solve(B), np.column_stack([fac.solve(b) for b in B.T]))
+
+    @pytest.mark.parametrize("case", [
+        "swapped roles", "jacobian copy", "jacobian", "other assembly",
+        "partial dirichlet", "empty dirichlet", "no dirichlet",
+    ])
+    def test_superlu_for(self, case):
+        M, K, bdofs = self.heat()
+        dofs = bdofs
+        if case == "swapped roles":
+            M, K = K, M
+        elif case == "jacobian copy":
+            K = SparseMatrix.from_scipy(K.to_scipy())
+        elif case == "jacobian":
+            K = SparseMatrix.from_scipy(K.to_scipy() + sp.identity(M.nrows))
+        elif case == "other assembly":
+            K = self.heat()[1]
+        elif case == "partial dirichlet":
+            dofs = bdofs[1:]
+        elif case == "empty dirichlet":
+            dofs = np.empty(0, dtype=np.int64)
+        else:
+            dofs = None
+        fac = factorize_block(M, K, 0.5, 0.1, dofs)
+        assert uses_superlu(fac)
+        self.assert_solves(fac, M, K, 0.5, 0.1, [] if dofs is None else dofs)
+
+    def test_superlu_on_a_1d_grid(self):
+        M, K, bdofs = assemble_heat(StructuredGrid(1, self.N))
+        fac = factorize_block(M, K, 0.5, 0.1, bdofs)
+        assert uses_superlu(fac)
+        self.assert_solves(fac, M, K, 0.5, 0.1, bdofs)
+
+    @pytest.mark.parametrize("alpha", ["zero sum", np.inf, np.nan])
+    def test_singular_or_non_finite_block_raises(self, alpha):
+        M, K, bdofs = self.heat()
+        lam, _ = M._tensor[0].interior_eig
+        dt = 0.1
+        if alpha == "zero sum":
+            alpha = -(dt * (lam[1] + lam[2]))
+        with pytest.raises(FactorizationError, match="zero or not finite"):
+            factorize_block(M, K, alpha, dt, bdofs)
+
+    def test_one_eigendecomposition_per_pair(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+        M, K, bdofs = self.heat()
+        for alpha, dt in [(1.0, 0.1), (1.0, 0.05), (2.5, 0.1), (-1.0, 0.01)]:
+            assert not uses_superlu(factorize_block(M, K, alpha, dt, bdofs))
+        assert len(calls) == 1
 
 
 def random_sparse_spd(m, seed):

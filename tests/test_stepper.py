@@ -599,6 +599,16 @@ class TestLaggedNewtonPreconditioner:
                 # the failed attempt's iterations are counted too
                 assert rep.krylov_iters >= rep_fresh.krylov_iters + krylov.maxit
 
+    def test_short_last_step_keeps_the_full_step_factors(self):
+        p = allen_cahn_2d(16)
+        st = self.stepper(p)
+        _, reports = advance(st, p, 0.3)
+        assert [r.factorizations for r in reports] == [3, 0, 0, 0, 3]
+        _, reports = advance(st, p, 0.5)
+        assert [r.factorizations for r in reports] == [0, 0, 0, 3]
+        # the factors of the last two dt values are kept, no others
+        assert sorted(dt for dt, _ in st._pc_cache) == pytest.approx([0.0125, 1 / 16])
+
     def test_failure_through_fresh_factors_raises_and_drops_them(self):
         p = allen_cahn_2d(16)
         st = self.stepper(p)
@@ -734,6 +744,8 @@ class TestValidation:
                           pc_kind=PreconditionerKind.RANA_LD)
         assert st1.warm_start is False
         u1, _ = advance(st1, p, 0.3)
+        # the stages are kept only for a warm start
+        assert st1._last_stages is None
         st2 = TimeStepper(p, radau_iia(2), 0.05,
                           krylov=KrylovSettings(rtol=1e-10),
                           pc_kind=PreconditionerKind.RANA_LD)
