@@ -44,14 +44,11 @@ from .stepper import (
     NonlinearDivergenceError,
     SemidiscreteProblem,
     StageFormulation,
+    StageSystem,
     StepFailure,
     StepReport,
     TimeStepper,
     advance,
-    assemble_linear_stage_system,
-    step_dirk,
-    step_linear,
-    step_newton,
 )
 from .tableaux import (
     AdditiveSplit,

@@ -80,15 +80,6 @@ class StagePreconditioner:
         # coupling coefficients for the off-diagonal terms
         self._coef = A_tilde_inv if form is Splitting.IA else dt * A_tilde
 
-    def _coupling(self, i, j, xj):
-        # IA couples stages through the mass matrix, AI through row i's stiffness
-        if self.form is Splitting.IA:
-            y = self.M.to_scipy() @ xj
-        else:
-            K = self.Ks[0] if len(self.Ks) == 1 else self.Ks[i]
-            y = K.to_scipy() @ xj
-        return self._coef[i, j] * y
-
     def apply(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n,):
@@ -101,17 +92,21 @@ class StagePreconditioner:
             order, deps = range(self.s), lambda i: range(i)
         else:
             order, deps = range(self.s - 1, -1, -1), lambda i: range(i + 1, self.s)
+        # (coupling matrix, j) -> its product with masked X[j], formed once:
+        # the IA mass coupling is the same for every row i
+        products = {}
         for i in order:
             acc = R[i].copy()
+            # IA couples stages through the mass matrix, AI through row i's stiffness
+            B = self.M if self.form is Splitting.IA else self.Ks[i if len(self.Ks) > 1 else 0]
             for j in deps(i):
                 if self._coef[i, j] != 0.0:
-                    xj = X[j]
-                    if len(self.dofs):
-                        xj = xj.copy()
+                    if (id(B), j) not in products:
+                        xj = X[j].copy()
                         xj[self.dofs] = 0.0
-                    c = self._coupling(i, j, xj)
-                    if len(self.dofs):
-                        c[self.dofs] = 0.0
+                        products[id(B), j] = B.to_scipy() @ xj
+                    c = self._coef[i, j] * products[id(B), j]
+                    c[self.dofs] = 0.0
                     acc -= c
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()

@@ -1,16 +1,26 @@
-"""Time stepping: fully coupled stage solves, sequential DIRK, and Newton.
+"""Time stepping: one stage system and one Newton loop for every formulation.
 
 A step advances M u' + K u = f(t) (or a general residual F(t, u, u') = 0) by
-one Runge-Kutta step under one of four formulations:
+one Runge-Kutta step.  Its stage equations
 
-* stage derivatives with the AI splitting, I (x) M + dt * A (x) K;
-* stage derivatives with the IA splitting, A^-1 (x) M + dt * I (x) K,
-  acting on w = (A (x) I) k;
-* stage values Y_i = u_n + dt * w_i;
-* sequential DIRK solves for lower-triangular tableaux.
+    F(t_n + c_i dt, U_i, K_i) = 0,    U_i = u_n + dt * sum_j a_ij K_j,
+
+form a ``StageSystem`` in one of three unknowns: the stage derivatives K, the
+Butcher variables W = (A (x) I) K, or the stage values U.  Its Jacobian is the
+matrix-free C1 (x) M + dt * C2 (x) J, with (C1, C2) = (I, A) for K and
+(A^-1, I) for W and U.  One Newton loop (``TimeStepper._solve``) drives every
+system, and ``TimeStepper.step`` chooses the systems:
+
+* stage derivatives with the AI splitting, I (x) M + dt * A (x) K, stage
+  derivatives with the IA splitting, A^-1 (x) M + dt * I (x) K on w, and
+  stage values each solve one s-stage system;
+* DIRK solves s one-stage systems in turn, stage i with A = [[a_ii]] and the
+  base state u_n + dt * sum_{j<i} a_ij K_j.
+
+A linear problem takes exactly one Newton correction per system.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
-residual is M u' + K u - f; stage-value updates are adjusted accordingly.
+residual is M u' + K u - f.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .bcs import (
 )
 from .precond import PreconditionerKind, build_preconditioner
 from .sparsela import (
+    FactorizationError,
     KroneckerStageOperator,
     KrylovSettings,
     NonConvergenceError,
@@ -71,13 +82,6 @@ class StageFormulation(Enum):
     DIRK = "dirk"
 
 
-_SPLIT = {
-    StageFormulation.STAGE_DERIVATIVE_AI: Splitting.AI,
-    StageFormulation.STAGE_DERIVATIVE_IA: Splitting.IA,
-    StageFormulation.STAGE_VALUE: Splitting.AI,
-    StageFormulation.DIRK: Splitting.AI,
-}
-
 _UNKNOWN = {
     StageFormulation.STAGE_DERIVATIVE_AI: StageUnknown.DERIVATIVE,
     StageFormulation.STAGE_DERIVATIVE_IA: StageUnknown.W,
@@ -95,7 +99,13 @@ class NewtonSettings:
 
 @dataclass
 class StepReport:
-    """Per-step solver statistics."""
+    """Per-step solver statistics.
+
+    ``newton_iters`` counts Newton corrections, summed over the step's stage
+    systems.  A linear stage system takes exactly one, so a linear coupled
+    step reports 1 and a linear DIRK step reports s.  ``newton_residuals``
+    holds the residual norms of nonlinear solves only.
+    """
 
     newton_iters: int
     krylov_iters: int
@@ -110,7 +120,7 @@ class _CachedFactors:
     """A preconditioner or stage-block factorization held across solves.
 
     ``its`` is the FGMRES iteration count of the first Newton solve through
-    it; a later one that needs more marks it stale (see ``_lagged_solve``).
+    it; a later one that needs more marks it stale (see ``_krylov_solve``).
     """
 
     factors: object
@@ -122,7 +132,7 @@ class SemidiscreteProblem:
     """A semidiscrete problem M u' + K u = f(t), or a general residual.
 
     Linear problems supply ``stiffness`` and ``load``; a residual and
-    Jacobian are synthesized so the Newton path works on them unchanged.
+    Jacobian are synthesized so they satisfy the general interface too.
     Nonlinear problems supply ``residual(t, u, udot)`` and
     ``jacobian_u(t, u) -> SparseMatrix``; the mass matrix is the (constant)
     derivative of the residual with respect to u'.
@@ -160,6 +170,90 @@ class SemidiscreteProblem:
     @property
     def is_linear(self) -> bool:
         return self._linear
+
+
+class StageSystem:
+    """The stage equations F(t + c_i dt, U_i, K_i) = 0 of one step, or of one
+    DIRK stage, in the unknown X of shape (s, m).
+
+    ``unknown`` says what X holds: the stage derivatives K, the Butcher
+    variables W = (A (x) I) K, or the stage values U = u + dt W, where ``u``
+    is the base state; ``dofs`` are the problem's Dirichlet dofs.  The
+    Jacobian is C1 (x) M + dt * C2 (x) J; for stage
+    values it is the Jacobian of dt times the residual (``scale``).  At the
+    start point every stage value is u and every derivative zero.
+    """
+
+    def __init__(self, problem, A, c, t, dt, u, unknown=StageUnknown.DERIVATIVE):
+        self.problem = problem
+        self.A = np.asarray(A, dtype=float)
+        self.times = t + np.asarray(c, dtype=float) * dt
+        self.dt = dt
+        self.u = u
+        self.unknown = unknown
+        self.s = self.A.shape[0]
+        bc = problem.dirichlet
+        self.dofs = bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
+        if unknown is StageUnknown.DERIVATIVE:
+            self.C1, self.C2 = np.eye(self.s), self.A
+            self.splitting = Splitting.AI
+        else:
+            try:
+                self.C1 = np.linalg.inv(self.A)
+            except np.linalg.LinAlgError as exc:
+                raise FormulationError(
+                    f"{unknown.value} unknowns need an invertible A"
+                ) from exc
+            self.C2 = np.eye(self.s)
+            self.splitting = Splitting.IA
+        self.scale = dt if unknown is StageUnknown.VALUE else 1.0
+
+    def start(self) -> np.ndarray:
+        if self.unknown is StageUnknown.VALUE:
+            return np.tile(self.u, (self.s, 1))
+        return np.zeros((self.s, len(self.u)))
+
+    def derivatives(self, X) -> np.ndarray:
+        if self.unknown is StageUnknown.DERIVATIVE:
+            return X
+        W = X if self.unknown is StageUnknown.W else (X - self.u[None, :]) / self.dt
+        return np.linalg.solve(self.A, W)
+
+    def states(self, X):
+        """The stage values U and stage derivatives K at X."""
+        Kv = self.derivatives(X)
+        if self.unknown is StageUnknown.DERIVATIVE:
+            U = self.u[None, :] + self.dt * (self.A @ X)
+        elif self.unknown is StageUnknown.W:
+            U = self.u[None, :] + self.dt * X
+        else:
+            U = X
+        return U, Kv
+
+    def residual(self, states=None) -> np.ndarray:
+        """The stacked stage residual, shape (s, m), at ``states`` = (U, K) or
+        at the start point.  A linear problem's start residual is
+        K u - f(t + c_i dt): one product by K and none by the zero K_i."""
+        p = self.problem
+        R = np.empty((self.s, len(self.u)))
+        if states is None and p.is_linear:
+            Ku = spmv(p.stiffness, self.u)
+            for i, ti in enumerate(self.times):
+                np.subtract(Ku, p.load(ti), out=R[i])
+            return R
+        U, Kv = states if states is not None else self.states(self.start())
+        for i, ti in enumerate(self.times):
+            R[i] = p.residual(ti, U[i], Kv[i])
+        return R
+
+    def jacobian(self, U=None) -> KroneckerStageOperator:
+        """The Jacobian at stage values U; a linear problem's needs none."""
+        p = self.problem
+        if p.is_linear:
+            Ks = [p.stiffness]
+        else:
+            Ks = [p.jacobian_u(ti, U[i]) for i, ti in enumerate(self.times)]
+        return KroneckerStageOperator(self.C1, self.C2, p.mass, Ks, self.dt)
 
 
 class TimeStepper:
@@ -213,7 +307,7 @@ class TimeStepper:
         self.krylov = krylov or KrylovSettings()
         self.pc_kind = pc_kind
         self.newton = newton or NewtonSettings()
-        # warm_start seeds each linear stage solve with the previous step's
+        # warm_start seeds each linear stage solve with the previous solve's
         # stages; off by default so repeated runs reproduce bit for bit
         self.warm_start = warm_start
         self._last_stages = None
@@ -222,8 +316,7 @@ class TimeStepper:
         self._dt = float(dt)
         # factors reused across solves, keyed on (dt, key), all of them for
         # _cached_problem
-        self._pc_cache = {}
-        self._dirk_factors = {}
+        self._factor_cache = {}
         self._cached_problem = None
         self._factorizations = 0
 
@@ -244,94 +337,153 @@ class TimeStepper:
             self._t_base = self.t
             self.step_index = 0
             self._dt = float(value)
-            for cache in (self._pc_cache, self._dirk_factors):
-                for key in [k for k in cache if k[0] not in kept]:
-                    del cache[key]
+            for key in [k for k in self._factor_cache if k[0] not in kept]:
+                del self._factor_cache[key]
 
-    def _commit(self, u_next):
-        self.u = u_next
-        self.step_index += 1
+    def _blocks(self):
+        """The stage rows that one step solves as one system each, and the
+        preconditioner kind for them: the whole tableau under ``pc_kind``, or
+        under DIRK one stage at a time.  Every kind preconditions a one-stage
+        system by its exact block, so DIRK ignores ``pc_kind``."""
+        s = self.tableau.s
+        if self.formulation is StageFormulation.DIRK:
+            return [slice(i, i + 1) for i in range(s)], PreconditionerKind.BLOCK_DIAGONAL
+        return [slice(0, s)], self.pc_kind
 
-    def _dofs(self, problem=None):
-        bc = (problem or self.problem).dirichlet
-        return bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
+    def _system(self, problem, rows, u):
+        tab = self.tableau
+        return StageSystem(problem, tab.A[rows, rows], tab.c[rows], self.t, self._dt, u,
+                           _UNKNOWN[self.formulation])
 
-    def _factors(self, problem, cache, key, build) -> _CachedFactors:
-        """The cache entry under ``key`` at the current dt, built by
-        ``build()`` if missing.
-
-        The caches hold one problem's factors: stepping another problem drops
-        them, so a stepper driven over many problems keeps none of the earlier
-        ones alive.
-        """
-        if problem is not self._cached_problem:
-            self._pc_cache.clear()
-            self._dirk_factors.clear()
-            self._cached_problem = problem
-        key = (self._dt, key)
-        if key not in cache:
-            cache[key] = _CachedFactors(build())
-        return cache[key]
-
-    def _build_preconditioner(self, form, problem, Ks):
-        pc = build_preconditioner(
-            self.pc_kind, self.tableau, problem.mass, Ks,
-            self._dt, form, self._dofs(problem),
-        )
+    def _build(self, system, kind, Ks):
+        """Factor the preconditioner of ``system`` from its Jacobian blocks."""
+        M, dofs = system.problem.mass, system.dofs
+        if system.s == 1:
+            # the exact block, which is what every kind gives on one stage
+            self._factorizations += 1
+            return factorize_block(M, Ks[0], system.C1[0, 0], system.dt * system.C2[0, 0], dofs)
+        pc = build_preconditioner(kind, self.tableau, M, Ks, system.dt, system.splitting, dofs)
         self._factorizations += len(pc.block_factors)
         return pc
 
-    def _factorize_stage_block(self, problem, K, aii):
-        self._factorizations += 1
-        return factorize_block(problem.mass, K, 1.0, self._dt * aii, self._dofs(problem))
+    def _factors(self, system, kind, Ks):
+        """The cache key and entry of ``system``'s factors at the current dt,
+        built from its Jacobian blocks ``Ks`` if missing.
 
-    def _preconditioner(self, form: Splitting, problem):
-        """The linear path's stage preconditioner, built once per problem and dt."""
-        if self.pc_kind is None:
-            return None
-        return self._factors(
-            problem, self._pc_cache, (form, self.pc_kind),
-            lambda: self._build_preconditioner(form, problem, problem.stiffness),
-        ).factors
+        The key holds the kind and the system's coefficients, which tell DIRK
+        stages apart by a_ii.  The cache holds one problem's factors: stepping
+        another problem drops them, so a stepper driven over many problems
+        keeps none of the earlier ones alive.
+        """
+        if system.problem is not self._cached_problem:
+            self._factor_cache.clear()
+            self._cached_problem = system.problem
+        key = (self._dt, (kind, tuple(system.A.flat)))
+        if key not in self._factor_cache:
+            self._factor_cache[key] = _CachedFactors(self._build(system, kind, Ks))
+        return key, self._factor_cache[key]
 
-    def _dirk_factor(self, aii, problem):
-        """The linear DIRK path's factored stage block for diagonal entry aii."""
-        return self._factors(
-            problem, self._dirk_factors, aii,
-            lambda: self._factorize_stage_block(problem, problem.stiffness, aii),
-        ).factors
+    def _krylov_solve(self, system, kind, Ks, op, rhs, x0=None):
+        """FGMRES on one Newton system, preconditioned by cached factors.
 
-    def _lagged_solve(self, problem, cache, key, build, op, rhs):
-        """FGMRES on a Newton system, preconditioned by lagged factors.
-
-        ``op`` carries the current Jacobians, so the Newton update is exact up
-        to the FGMRES tolerance; only the preconditioner under ``key`` lags.
-        ``build()`` makes it from the current Jacobians when it is missing.  A
-        solve through it that needs more iterations than its first solve marks
-        it stale by dropping it, so the next Newton iteration rebuilds it.  If
-        FGMRES fails through lagged factors, they are rebuilt and the solve is
-        retried once; a failure through fresh factors drops them and raises.
+        ``op`` carries the current Jacobians ``Ks``, so the correction is exact
+        up to the FGMRES tolerance; only the preconditioner lags.  It is built
+        from ``Ks`` when missing.  A linear problem's factors are exact for
+        every solve and never go stale.  For a nonlinear problem, a solve
+        through lagged factors that needs more iterations than their first
+        solve marks them stale by dropping them, so the next Newton iteration
+        rebuilds them.  If FGMRES fails through lagged factors, they are
+        rebuilt and the solve is retried once; a failure through fresh
+        factors drops them and raises.
 
         Returns the result and the FGMRES iterations spent, failed attempt
         included.
         """
+        if kind is None:
+            res = fgmres(op, rhs, None, self.krylov, x0=x0)
+            return res, res.iterations
+        lag = not system.problem.is_linear
         wasted = 0
         while True:
-            entry = self._factors(problem, cache, key, build)
-            lagged = entry.its is not None
+            key, entry = self._factors(system, kind, Ks)
             try:
-                res = fgmres(op, rhs, entry.factors, self.krylov)
+                res = fgmres(op, rhs, entry.factors, self.krylov, x0=x0)
             except NonConvergenceError as exc:
-                del cache[(self._dt, key)]
-                if not lagged:
+                if not lag:
+                    raise
+                del self._factor_cache[key]
+                if entry.its is None:
                     raise
                 wasted += len(exc.residuals) - 1
                 continue
-            if not lagged:
+            if lag and entry.its is None:
                 entry.its = res.iterations
-            elif res.iterations > entry.its:
-                del cache[(self._dt, key)]
+            elif lag and res.iterations > entry.its:
+                del self._factor_cache[key]
             return res, wasted + res.iterations
+
+    def _solve(self, system, svals, kind):
+        """Newton on ``system`` with boundary stage values ``svals``.
+
+        A linear problem takes exactly one correction from the start point,
+        with no residual test; the boundary rows of the correction carry
+        svals - X through ``constrain_stage_system``.  Nonlinear iterates
+        start with the boundary values in place, so their corrections are
+        zero there.  Per-stage Jacobians are refreshed every iteration; the
+        preconditioner built from them lags (``_krylov_solve``).
+
+        Returns the unknown X, the stage derivatives at X, and the Newton
+        corrections, FGMRES iterations, final residual and residual history.
+        """
+        problem = system.problem
+        linear = problem.is_linear
+        dofs = system.dofs
+        X = system.start()
+        if len(dofs) and not linear:
+            X[:, dofs] = svals
+        nt = self.newton
+        hist = []
+        krylov = 0
+        for it in range(nt.maxit + 1):
+            states = None if linear else system.states(X)
+            R = system.residual(states)
+            R[:, dofs] = 0.0
+            if not linear:
+                normR = float(np.linalg.norm(R))
+                hist.append(normR)
+                if not np.isfinite(normR):
+                    raise NonlinearDivergenceError("Newton iteration diverged", hist)
+                if normR <= max(nt.rtol * hist[0], nt.atol):
+                    return X, states[1], (it, krylov, normR, hist)
+                if it == nt.maxit:
+                    raise NonlinearDivergenceError(
+                        f"Newton did not converge in {nt.maxit} iterations "
+                        f"(residual {normR:.3e})",
+                        hist,
+                    )
+            op = system.jacobian(None if linear else states[0])
+            R *= -system.scale
+            rhs = R.ravel()
+            if not len(dofs):
+                sop = op
+            elif linear:
+                sop, rhs = constrain_stage_system(op, rhs, problem.dirichlet, svals - X[:, dofs])
+            else:
+                sop = ConstrainedStageOperator(op, dofs)
+            last = self._last_stages if linear and self.warm_start else None
+            x0 = (last - X).ravel() if last is not None and last.shape == X.shape else None
+            res, its = self._krylov_solve(system, kind, op.Ks, sop, rhs, x0)
+            krylov += its
+            X = X + res.x.reshape(X.shape)
+            if len(dofs):
+                X[:, dofs] = svals
+            if linear:
+                if self.warm_start:
+                    self._last_stages = X.copy()
+                return X, system.derivatives(X), (1, krylov, res.residuals[-1], [])
+            # release this iteration's Jacobians and operator before the next
+            # ones are built; the lagged preconditioner keeps what it needs
+            del op, sop, res
 
     def setup(self, problem: SemidiscreteProblem | None = None):
         """Factorize now what stepping a linear problem will need.
@@ -341,337 +493,43 @@ class TimeStepper:
         step.  Newton factors depend on the iterate and are built when needed.
         """
         problem = problem if problem is not None else self.problem
-        if not problem.is_linear:
+        blocks, kind = self._blocks()
+        if not problem.is_linear or kind is None:
             return
-        if self.formulation is StageFormulation.DIRK:
-            for aii in np.unique(np.diag(self.tableau.A)):
-                self._dirk_factor(aii, problem)
-        else:
-            self._preconditioner(_SPLIT[self.formulation], problem)
+        for rows in blocks:
+            self._factors(self._system(problem, rows, self.u), kind, [problem.stiffness])
 
     def step(self, problem: SemidiscreteProblem | None = None):
+        """Advance one step; returns the new state and its ``StepReport``."""
         problem = problem if problem is not None else self.problem
-        if self.formulation is StageFormulation.DIRK:
-            return step_dirk(self, problem)
-        if problem.is_linear:
-            return step_linear(self, problem)
-        return step_newton(self, problem)
-
-
-# ---------------------------------------------------------------------------
-# linear stage systems
-
-
-def assemble_linear_stage_system(
-    problem: SemidiscreteProblem,
-    tab: ButcherTableau,
-    t: float,
-    dt: float,
-    form: Splitting,
-    u: np.ndarray,
-):
-    """Stage-derivative system for a linear problem at state u.
-
-    AI: (I (x) M + dt A (x) K) k = rhs; IA: (A^-1 (x) M + dt I (x) K) w = rhs
-    with w = (A (x) I) k; in both, rhs block i is f(t + c_i dt) - K u.
-    """
-    if not problem.is_linear:
-        raise ValueError("assemble_linear_stage_system needs a linear problem")
-    s = tab.s
-    M, K = problem.mass, problem.stiffness
-    Ku = spmv(K, u)
-    rhs = np.concatenate([problem.load(t + ci * dt) - Ku for ci in tab.c])
-    if form is Splitting.AI:
-        op = KroneckerStageOperator(np.eye(s), tab.A, M, [K], dt)
-    else:
-        if not tab.invertible:
-            raise FormulationError(
-                f"IA splitting needs an invertible tableau, got {tab.name!r}"
+        tab, dt, u = self.tableau, self._dt, self.u
+        unknown = _UNKNOWN[self.formulation]
+        factorized = self._factorizations
+        bc = problem.dirichlet
+        svals = (stage_bc_values(self.bc_method, tab, bc, u, self.t, dt, unknown)
+                 if bc is not None and len(bc.dofs) else None)
+        blocks, kind = self._blocks()
+        K = np.empty((tab.s, problem.m))
+        newton, krylov, hist = 0, 0, []
+        for rows in blocks:
+            i = rows.start
+            # a DIRK stage's base is its explicit part; a coupled system's is u
+            base = u + dt * (tab.A[i, :i] @ K[:i]) if i else u
+            system = self._system(problem, rows, base)
+            X, K[rows], (nit, kit, final, h) = self._solve(
+                system, None if svals is None else svals[rows], kind
             )
-        op = KroneckerStageOperator(np.linalg.inv(tab.A), np.eye(s), M, [K], dt)
-    return op, rhs
-
-
-def _stage_value_system(problem, tab, t, dt, u):
-    # (I (x) M + dt A (x) K) Y = M u + dt (A (x) I) f
-    s = tab.s
-    M, K = problem.mass, problem.stiffness
-    Mu = spmv(M, u)
-    F = np.array([problem.load(t + ci * dt) for ci in tab.c])
-    rhs = (Mu[None, :] + dt * (tab.A @ F)).ravel()
-    op = KroneckerStageOperator(np.eye(s), tab.A, M, [K], dt)
-    return op, rhs
-
-
-def _solve_constrained(stepper, problem, op, rhs, unknown, t):
-    """Constrain, solve, and re-impose exact boundary stage values."""
-    bc = problem.dirichlet
-    svals = None
-    if bc is not None and len(bc.dofs):
-        svals = stage_bc_values(
-            stepper.bc_method, stepper.tableau, bc, stepper.u, t, stepper.dt, unknown
-        )
-        sop, srhs = constrain_stage_system(op, rhs, bc, svals)
-    else:
-        sop, srhs = op, rhs
-    pc = stepper._preconditioner(_SPLIT[stepper.formulation], problem)
-    x0 = None
-    if stepper.warm_start and stepper._last_stages is not None:
-        if stepper._last_stages.shape == srhs.shape:
-            x0 = stepper._last_stages
-    res = fgmres(sop, srhs, pc, stepper.krylov, x0=x0)
-    x = res.x
-    if svals is not None:
-        idx = (np.arange(op.s)[:, None] * op.m + bc.dofs[None, :]).ravel()
-        x[idx] = svals.ravel()
-    if stepper.warm_start:
-        stepper._last_stages = x.copy()
-    return x, res
-
-
-def step_linear(stepper: TimeStepper, problem: SemidiscreteProblem):
-    """One step of a linear problem under a fully coupled formulation."""
-    tab, dt, t, u = stepper.tableau, stepper.dt, stepper.t, stepper.u
-    form = stepper.formulation
-    if form is StageFormulation.DIRK:
-        return step_dirk(stepper, problem)
-    factorized = stepper._factorizations
-    if form is StageFormulation.STAGE_VALUE:
-        op, rhs = _stage_value_system(problem, tab, t, dt, u)
-    else:
-        op, rhs = assemble_linear_stage_system(problem, tab, t, dt, _SPLIT[form], u)
-    x, res = _solve_constrained(stepper, problem, op, rhs, _UNKNOWN[form], t)
-    X = x.reshape(tab.s, problem.m)
-    if form is StageFormulation.STAGE_VALUE:
-        if tab.stiffly_accurate:
+            newton += nit
+            krylov += kit
+            hist += h
+        if unknown is StageUnknown.VALUE and tab.stiffly_accurate:
             u_next = X[-1].copy()
         else:
-            w = np.linalg.solve(tab.A.T, tab.b)
-            u_next = u + w @ (X - u[None, :])
-    else:
-        K_stages = X if form is StageFormulation.STAGE_DERIVATIVE_AI else np.linalg.solve(tab.A, X)
-        u_next = u + dt * (tab.b @ K_stages)
-    report = StepReport(0, res.iterations, res.residuals[-1],
-                        factorizations=stepper._factorizations - factorized)
-    stepper._commit(u_next)
-    return u_next, report
-
-
-def step_dirk(stepper: TimeStepper, problem: SemidiscreteProblem):
-    """Sequential single-stage solves for a lower-triangular tableau.
-
-    Linear stages are solved by FGMRES preconditioned with the exact factored
-    block (iteration counts then mirror the coupled path's accounting);
-    nonlinear stages run a per-stage Newton iteration.
-    """
-    tab, dt, t, u = stepper.tableau, stepper.dt, stepper.t, stepper.u
-    if not tab.lower_triangular:
-        raise FormulationError(
-            f"DIRK stepping needs a lower-triangular tableau, got {tab.name!r}"
-        )
-    s, m = tab.s, problem.m
-    factorized = stepper._factorizations
-    bc = problem.dirichlet
-    svals = None
-    if bc is not None and len(bc.dofs):
-        svals = stage_bc_values(
-            stepper.bc_method, tab, bc, u, t, dt, StageUnknown.DERIVATIVE
-        )
-    K_stages = np.zeros((s, m))
-    krylov_total = 0
-    newton_total = 0
-    final_res = 0.0
-    newton_hist = []
-    for i in range(s):
-        ti = t + tab.c[i] * dt
-        acc = u + dt * (tab.A[i, :i] @ K_stages[:i]) if i else u.copy()
-        if problem.is_linear:
-            rhs = problem.load(ti) - spmv(problem.stiffness, acc)
-            op = KroneckerStageOperator(
-                np.eye(1), np.array([[tab.A[i, i]]]), problem.mass,
-                [problem.stiffness], dt,
-            )
-            if svals is not None:
-                sop, srhs = constrain_stage_system(op, rhs, bc, svals[i : i + 1])
-            else:
-                sop, srhs = op, rhs
-            fac = stepper._dirk_factor(tab.A[i, i], problem)
-            res = fgmres(sop, srhs, fac, stepper.krylov)
-            ki = res.x
-            krylov_total += res.iterations
-            final_res = res.residuals[-1]
-        else:
-            ki, nit, kit, hist = _dirk_stage_newton(
-                stepper, problem, ti, acc, tab.A[i, i],
-                svals[i] if svals is not None else None,
-            )
-            newton_total += nit
-            krylov_total += kit
-            newton_hist.extend(hist)
-            final_res = hist[-1]
-        if svals is not None:
-            ki[bc.dofs] = svals[i]
-        K_stages[i] = ki
-    u_next = u + dt * (tab.b @ K_stages)
-    report = StepReport(newton_total, krylov_total, final_res, newton_hist,
-                        stepper._factorizations - factorized)
-    stepper._commit(u_next)
-    return u_next, report
-
-
-def _dirk_stage_newton(stepper, problem, ti, acc, aii, sval):
-    """Newton on one DIRK stage residual F(ti, acc + dt*aii*k, k) = 0."""
-    dt = stepper.dt
-    m = problem.m
-    dofs = stepper._dofs(problem)
-    k = np.zeros(m)
-    if sval is not None:
-        k[dofs] = sval
-    nt = stepper.newton
-    hist = []
-    krylov = 0
-    for it in range(nt.maxit + 1):
-        ui = acc + dt * aii * k
-        R = problem.residual(ti, ui, k)
-        if len(dofs):
-            R[dofs] = 0.0
-        normR = float(np.linalg.norm(R))
-        hist.append(normR)
-        if not np.isfinite(normR):
-            raise NonlinearDivergenceError("DIRK stage Newton diverged", hist)
-        if normR <= max(nt.rtol * hist[0], nt.atol):
-            return k, it, krylov, hist
-        if it == nt.maxit:
-            break
-        Ki = problem.jacobian_u(ti, ui)
-        op = KroneckerStageOperator(
-            np.eye(1), np.array([[aii]]), problem.mass, [Ki], dt
-        )
-        sop = op if not len(dofs) else ConstrainedStageOperator(op, dofs)
-        res, its = stepper._lagged_solve(
-            problem, stepper._dirk_factors, aii,
-            lambda: stepper._factorize_stage_block(problem, Ki, aii), sop, -R,
-        )
-        krylov += its
-        delta = res.x
-        if len(dofs):
-            delta[dofs] = 0.0
-        k = k + delta
-        del Ki, op, sop, res
-    raise NonlinearDivergenceError(
-        f"DIRK stage Newton did not converge in {nt.maxit} iterations", hist
-    )
-
-
-def step_newton(stepper: TimeStepper, problem: SemidiscreteProblem):
-    """Newton on the stacked stage residual of a (possibly) nonlinear problem.
-
-    The unknown follows the formulation: stage derivatives (AI), Butcher
-    variables w (IA), or stage values.  In the w and value forms the
-    stiffness Jacobians appear only on the block diagonal.  Per-stage
-    Jacobians are refreshed every Newton iteration; the preconditioner built
-    from them lags across iterations and steps (``TimeStepper._lagged_solve``).
-    """
-    tab, dt, t, u = stepper.tableau, stepper.dt, stepper.t, stepper.u
-    form = stepper.formulation
-    if form is StageFormulation.DIRK:
-        return step_dirk(stepper, problem)
-    unknown = _UNKNOWN[form]
-    s, m = tab.s, problem.m
-    factorized = stepper._factorizations
-    A = tab.A
-    c = tab.c
-    bc = problem.dirichlet
-    dofs = stepper._dofs(problem)
-    idx = (np.arange(s)[:, None] * m + dofs[None, :]).ravel() if len(dofs) else None
-
-    x = np.zeros(s * m)
-    if unknown is StageUnknown.VALUE:
-        x = np.tile(u, s)
-    svals = None
-    if bc is not None and len(dofs):
-        svals = stage_bc_values(stepper.bc_method, tab, bc, u, t, dt, unknown)
-        x[idx] = svals.ravel()
-
-    def stage_states(X):
-        # (stage solution values u_i, stage derivatives k_i) from the unknown
-        if unknown is StageUnknown.DERIVATIVE:
-            Kv = X
-            U = u[None, :] + dt * (A @ X)
-        elif unknown is StageUnknown.W:
-            Kv = np.linalg.solve(A, X)
-            U = u[None, :] + dt * X
-        else:
-            W = (X - u[None, :]) / dt
-            Kv = np.linalg.solve(A, W)
-            U = X
-        return U, Kv
-
-    def residual(xflat):
-        U, Kv = stage_states(xflat.reshape(s, m))
-        R = np.empty((s, m))
-        for i in range(s):
-            R[i] = problem.residual(t + c[i] * dt, U[i], Kv[i])
-        out = R.ravel()
-        if idx is not None:
-            out[idx] = 0.0
-        return out
-
-    nt = stepper.newton
-    hist = []
-    krylov_total = 0
-    C1 = np.eye(s) if unknown is StageUnknown.DERIVATIVE else np.linalg.inv(A)
-    C2 = A if unknown is StageUnknown.DERIVATIVE else np.eye(s)
-    pc_form = Splitting.AI if unknown is StageUnknown.DERIVATIVE else Splitting.IA
-
-    for it in range(nt.maxit + 1):
-        X = x.reshape(s, m)
-        R = residual(x)
-        normR = float(np.linalg.norm(R))
-        hist.append(normR)
-        if not np.isfinite(normR):
-            raise NonlinearDivergenceError("Newton iteration diverged", hist)
-        if normR <= max(nt.rtol * hist[0], nt.atol):
-            U, Kv = stage_states(X)
-            break
-        if it == nt.maxit:
-            raise NonlinearDivergenceError(
-                f"Newton did not converge in {nt.maxit} iterations "
-                f"(residual {normR:.3e})",
-                hist,
-            )
-        U, _ = stage_states(X)
-        Ks = [problem.jacobian_u(t + c[i] * dt, U[i]) for i in range(s)]
-        op = KroneckerStageOperator(C1, C2, problem.mass, Ks, dt)
-        sop = op if idx is None else ConstrainedStageOperator(op, dofs)
-        # the stage-value Jacobian is the w-form operator scaled by 1/dt
-        rhs = -R if unknown is not StageUnknown.VALUE else -dt * R
-        if stepper.pc_kind is None:
-            res = fgmres(sop, rhs, None, stepper.krylov)
-            its = res.iterations
-        else:
-            res, its = stepper._lagged_solve(
-                problem, stepper._pc_cache, (pc_form, stepper.pc_kind),
-                lambda: stepper._build_preconditioner(pc_form, problem, Ks),
-                sop, rhs,
-            )
-        krylov_total += its
-        delta = res.x
-        if idx is not None:
-            delta[idx] = 0.0
-        x = x + delta
-        # release this iteration's Jacobians and operator before the next
-        # ones are built; the lagged preconditioner keeps what it needs
-        del Ks, op, sop, res
-
-    if unknown is StageUnknown.VALUE and tab.stiffly_accurate:
-        u_next = x.reshape(s, m)[-1].copy()
-    else:
-        u_next = u + dt * (tab.b @ Kv)
-    report = StepReport(len(hist) - 1, krylov_total, hist[-1], hist,
-                        stepper._factorizations - factorized)
-    stepper._commit(u_next)
-    return u_next, report
+            u_next = u + dt * (tab.b @ K)
+        report = StepReport(newton, krylov, final, hist, self._factorizations - factorized)
+        self.u = u_next
+        self.step_index += 1
+        return u_next, report
 
 
 def advance(stepper: TimeStepper, problem: SemidiscreteProblem, t_final: float):
@@ -700,7 +558,7 @@ def advance(stepper: TimeStepper, problem: SemidiscreteProblem, t_final: float):
             stepper.dt = short
             _, rep = stepper.step(problem)
             reports.append(rep)
-    except (NonConvergenceError, NonlinearDivergenceError) as exc:
+    except (NonConvergenceError, NonlinearDivergenceError, FactorizationError) as exc:
         raise StepFailure(
             f"step {len(reports) + 1} failed after {len(reports)} completed steps: {exc}",
             len(reports),

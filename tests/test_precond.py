@@ -295,3 +295,32 @@ class TestConstrained:
         x = pc.apply(r)
         for i in range(3):
             assert x[i * m + 2] == pytest.approx(r[i * m + 2], abs=1e-12)
+
+
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+def test_coupling_product_formed_once_per_solved_stage(form):
+    # RadauIIA(4) with Rana-LD couples row i to every earlier stage j; the
+    # product of the shared mass (IA) or stiffness (AI) with masked X[j] does
+    # not depend on i, so one apply forms 3 of them rather than 6
+    m = 6
+    M, K = spd_pair(m, 21)
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, radau_iia(4), M, K, 0.1, form,
+                              np.array([1, 4]))
+    r = np.random.default_rng(5).standard_normal(4 * m)
+    expect = pc.apply(r)
+    count = []
+
+    class Counting:
+        def __init__(self, A):
+            self.A = A
+
+        def to_scipy(self):
+            return self
+
+        def __matmul__(self, x):
+            count.append(1)
+            return self.A.to_scipy() @ x
+
+    pc.M, pc.Ks = Counting(pc.M), [Counting(K) for K in pc.Ks]
+    np.testing.assert_array_equal(pc.apply(r), expect)
+    assert len(count) == 3

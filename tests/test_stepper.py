@@ -4,10 +4,16 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
-import implicitrk.stepper as stepper_mod
-from implicitrk.bcs import DirichletBC, StageUnknown
-from implicitrk.precond import PreconditionerKind
+from implicitrk.bcs import (
+    BcMethod,
+    DirichletBC,
+    StageUnknown,
+    constrain_stage_system,
+    stage_bc_values,
+)
+from implicitrk.precond import PreconditionerKind, build_preconditioner
 from implicitrk.problems import (
     StructuredGrid,
     assemble_heat,
@@ -20,10 +26,11 @@ from implicitrk.problems import (
     riccati,
 )
 from implicitrk.sparsela import (
+    FactorizationError,
     KrylovSettings,
     NonConvergenceError,
     SparseMatrix,
-    Splitting,
+    fgmres,
     spmv,
 )
 from implicitrk.stepper import (
@@ -32,13 +39,10 @@ from implicitrk.stepper import (
     NonlinearDivergenceError,
     SemidiscreteProblem,
     StageFormulation,
+    StageSystem,
     StepFailure,
     TimeStepper,
     advance,
-    assemble_linear_stage_system,
-    step_dirk,
-    step_linear,
-    step_newton,
 )
 from implicitrk.tableaux import alexander_dirk, lobatto_iiic, radau_iia, wsodirk433
 
@@ -77,8 +81,9 @@ class TestAssemble:
         dt = 0.1
         tab = radau_iia(1)
         u = p.u0
-        for form in Splitting:
-            op, rhs = assemble_linear_stage_system(p, tab, 0.0, dt, form, u)
+        for unknown in (StageUnknown.DERIVATIVE, StageUnknown.W):
+            system = StageSystem(p, tab.A, tab.c, 0.0, dt, u, unknown)
+            op, rhs = system.jacobian(), -system.residual().ravel()
             v = np.random.default_rng(0).standard_normal(p.m)
             expect = spmv(p.mass, v) + dt * spmv(p.stiffness, v)
             np.testing.assert_allclose(op.apply(v), expect, atol=1e-13)
@@ -89,8 +94,10 @@ class TestAssemble:
         tab = radau_iia(2)
         dt = 0.05
         u = p.u0
-        opA, rhsA = assemble_linear_stage_system(p, tab, 0.0, dt, Splitting.AI, u)
-        opI, rhsI = assemble_linear_stage_system(p, tab, 0.0, dt, Splitting.IA, u)
+        sysA = StageSystem(p, tab.A, tab.c, 0.0, dt, u, StageUnknown.DERIVATIVE)
+        sysI = StageSystem(p, tab.A, tab.c, 0.0, dt, u, StageUnknown.W)
+        opA, rhsA = sysA.jacobian(), -sysA.residual().ravel()
+        opI, rhsI = sysI.jacobian(), -sysI.residual().ravel()
         k = np.linalg.solve(opA.to_dense(), rhsA)
         w = (tab.A @ k.reshape(tab.s, p.m)).ravel()
         np.testing.assert_allclose(opI.apply(w), rhsI, atol=1e-11)
@@ -113,7 +120,7 @@ class TestAssemble:
         tab = ButcherTableau([[0.0]], [1.0], [0.0], 1, 0, "explicit-euler")
         p = heat_no_bc(4)
         with pytest.raises(FormulationError):
-            assemble_linear_stage_system(p, tab, 0.0, 0.1, Splitting.IA, p.u0)
+            StageSystem(p, tab.A, tab.c, 0.0, 0.1, p.u0, StageUnknown.W)
 
 
 class TestStepLinear:
@@ -176,7 +183,7 @@ class TestStepDirk:
         p = scalar_problem(1.0, u0=2.0)
         st = TimeStepper(p, alexander_dirk(), 1.0, formulation=DIRK, krylov=TIGHT)
         st._dt = 0.0  # boundary case of the step map itself
-        u1, _ = step_dirk(st, p)
+        u1, _ = st.step(p)
         assert u1[0] == 2.0
 
     def test_matches_coupled_path_on_heat(self):
@@ -219,6 +226,22 @@ class TestStepDirk:
         # iteration of every stage and step
         assert [r.factorizations for r in reports] == [1] + [0] * 9
         assert sum(r.newton_iters for r in reports) > 30
+
+
+def test_newton_iters_counts_corrections():
+    # a linear stage system takes exactly one correction, with no residual
+    # test: a coupled step reports 1, a DIRK step one per stage
+    p = heat_no_bc(6)
+    for form in (AI, IA, VALUE):
+        _, rep = TimeStepper(p, radau_iia(3), 0.1, formulation=form).step(p)
+        assert rep.newton_iters == 1
+    _, rep = TimeStepper(p, wsodirk433(), 0.1, formulation=DIRK).step(p)
+    assert rep.newton_iters == 4
+    # even a residual far below NewtonSettings.atol is solved, not skipped
+    p = scalar_problem(1.0, u0=1e-20)
+    u1, rep = TimeStepper(p, radau_iia(1), 1.0, krylov=TIGHT).step(p)
+    assert rep.newton_iters == 1
+    assert u1[0] == pytest.approx(0.5e-20, rel=1e-12)
 
 
 class TestStepNewton:
@@ -427,6 +450,30 @@ class TestAdvance:
         step(p)
         assert st.t == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("form, pc_kind", [(DIRK, None), (AI, PreconditionerKind.RANA_LD)])
+    def test_singular_stage_block_fails_the_step(self, form, pc_kind):
+        # M = 1, K = -1: the RadauIIA(1) stage block M + dt K is singular at dt = 1
+        p = scalar_problem(-1.0)
+        st = TimeStepper(p, radau_iia(1), 0.5, formulation=form, pc_kind=pc_kind)
+        st.step(p)
+        st.dt = 1.0
+        with pytest.raises(StepFailure) as err:
+            advance(st, p, 3.0)
+        assert isinstance(err.value.__cause__, FactorizationError)
+        assert err.value.completed_steps == 0
+        assert err.value.reports == []
+        assert st.dt == 1.0
+        # K = -2: singular on the short last step only, after two full steps
+        p = scalar_problem(-2.0)
+        st = TimeStepper(p, radau_iia(1), 0.75, formulation=form, pc_kind=pc_kind)
+        with pytest.raises(StepFailure) as err:
+            advance(st, p, 2.0)
+        assert isinstance(err.value.__cause__, FactorizationError)
+        assert err.value.completed_steps == 2
+        assert len(err.value.reports) == 2
+        assert st.dt == 0.75
+        assert st.t == pytest.approx(1.5)
+
     def test_backwards_target_rejected(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.1, t0=1.0)
@@ -607,7 +654,7 @@ class TestLaggedNewtonPreconditioner:
         _, reports = advance(st, p, 0.5)
         assert [r.factorizations for r in reports] == [0, 0, 0, 3]
         # the factors of the last two dt values are kept, no others
-        assert sorted(dt for dt, _ in st._pc_cache) == pytest.approx([0.0125, 1 / 16])
+        assert sorted(dt for dt, _ in st._factor_cache) == pytest.approx([0.0125, 1 / 16])
 
     def test_failure_through_fresh_factors_raises_and_drops_them(self):
         p = allen_cahn_2d(16)
@@ -646,12 +693,23 @@ class TestInvariants:
     def test_stiffly_accurate_value_update_is_final_stage(self):
         p = incompatible_heat_1d(8)
         tab = radau_iia(2)
-        st = TimeStepper(p, tab, 0.1, formulation=VALUE,
-                         krylov=KrylovSettings(rtol=1e-10),
+        krylov = KrylovSettings(rtol=1e-10)
+        st = TimeStepper(p, tab, 0.1, formulation=VALUE, krylov=krylov,
                          pc_kind=PreconditionerKind.RANA_LD)
-        op, rhs = stepper_mod._stage_value_system(p, tab, st.t, st.dt, st.u)
-        x, _ = stepper_mod._solve_constrained(st, p, op, rhs, StageUnknown.VALUE, st.t)
-        expected = x.reshape(tab.s, p.m)[-1].copy()
+        # the linear stage-value solve: one correction from Y = u
+        system = StageSystem(p, tab.A, tab.c, st.t, st.dt, st.u, StageUnknown.VALUE)
+        bc = p.dirichlet
+        svals = stage_bc_values(BcMethod.DAE, tab, bc, st.u, st.t, st.dt, StageUnknown.VALUE)
+        X = system.start()
+        op, rhs = constrain_stage_system(
+            system.jacobian(), -system.scale * system.residual().ravel(), bc,
+            svals - X[:, bc.dofs],
+        )
+        pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, p.mass, p.stiffness,
+                                  st.dt, system.splitting, bc.dofs)
+        X = X + fgmres(op, rhs, pc, krylov).x.reshape(X.shape)
+        X[:, bc.dofs] = svals
+        expected = X[-1].copy()
         u1, _ = st.step(p)
         assert np.array_equal(u1, expected)
 
@@ -761,3 +819,76 @@ class TestValidation:
         assert st.t == pytest.approx(0.25)
         st.step(p)
         assert st.t == pytest.approx(0.75)
+
+
+def _random_spd(rng, m):
+    B = rng.standard_normal((m, m))
+    return B @ B.T + m * np.eye(m)
+
+
+@pytest.mark.parametrize("form", [AI, IA, VALUE, DIRK])
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=3, max_value=8),
+    s=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dt=st.floats(min_value=0.01, max_value=1.0),
+    stiffly_accurate=st.booleans(),
+    pc_kind=st.sampled_from([None, PreconditionerKind.BLOCK_DIAGONAL,
+                             PreconditionerKind.BLOCK_LOWER]),
+    data=st.data(),
+)
+def test_one_step_matches_dense_constrained_stage_solve(
+    form, m, s, seed, dt, stiffly_accurate, pc_kind, data
+):
+    # Oracle: the stage-derivative system (I (x) M + dt A (x) K) k = F - 1 (x) K u
+    # assembled densely from KroneckerStageOperator.to_dense(), with the DAE
+    # boundary values of k imposed by row replacement and column elimination.
+    # Every formulation solves this system in its own unknown.
+    from implicitrk.sparsela import KroneckerStageOperator
+    from implicitrk.tableaux import ButcherTableau
+
+    rng = np.random.default_rng(seed)
+    M, K = _random_spd(rng, m), _random_spd(rng, m) / m
+    A = np.diag(rng.uniform(0.2, 1.5, s))
+    A += np.tril(rng.uniform(-0.5, 0.5, (s, s)), -1)
+    if form is not DIRK:
+        A += np.triu(rng.uniform(-0.5, 0.5, (s, s)), 1)
+    assume(np.linalg.cond(A) < 1e3)
+    b = A[-1].copy() if stiffly_accurate else rng.uniform(0.1, 1.0, s)
+    assume(abs(b.sum()) > 0.1)
+    b /= b.sum()
+    if stiffly_accurate:
+        A[-1] = b
+    tab = ButcherTableau(A, b, rng.uniform(0.0, 1.0, s), 1, 1, "random")
+    dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))),
+                    dtype=np.int64)
+    g0, g1 = rng.standard_normal(len(dofs)), rng.standard_normal(len(dofs))
+    f0, f1 = rng.standard_normal(m), rng.standard_normal(m)
+    t0 = float(rng.uniform(0.0, 1.0))
+    u0 = rng.standard_normal(m)
+    p = SemidiscreteProblem(
+        m=m, mass=SparseMatrix.from_dense(M), stiffness=SparseMatrix.from_dense(K),
+        load=lambda t: f0 + t * f1,
+        dirichlet=DirichletBC(dofs, g=lambda t: g0 + t * g1),
+        u0=u0,
+    )
+
+    S = KroneckerStageOperator(np.eye(s), A, p.mass, [p.stiffness], dt).to_dense()
+    rhs = np.concatenate([f0 + (t0 + ci * dt) * f1 - K @ u0 for ci in tab.c])
+    idx = (np.arange(s)[:, None] * m + dofs[None, :]).ravel()
+    W = np.array([g0 + (t0 + ci * dt) * g1 - u0[dofs] for ci in tab.c]) / dt
+    kb = np.linalg.solve(A, W).ravel()
+    rhs -= S[:, idx] @ kb
+    S[idx, :] = 0.0
+    S[:, idx] = 0.0
+    S[idx, idx] = 1.0
+    rhs[idx] = kb
+    assume(np.linalg.cond(S) < 1e6)
+    k = np.linalg.solve(S, rhs).reshape(s, m)
+    expect = u0 + dt * (b @ k)
+
+    st_ = TimeStepper(p, tab, dt, formulation=form, t0=t0, pc_kind=pc_kind,
+                      krylov=KrylovSettings(rtol=1e-13, atol=1e-15, maxit=400))
+    u1, rep = st_.step(p)
+    np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
