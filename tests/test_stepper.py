@@ -892,3 +892,89 @@ def test_one_step_matches_dense_constrained_stage_solve(
                       krylov=KrylovSettings(rtol=1e-13, atol=1e-15, maxit=400))
     u1, rep = st_.step(p)
     np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
+
+
+@pytest.mark.parametrize("form", [AI, IA, VALUE, DIRK])
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(min_value=3, max_value=8),
+    s=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dt=st.floats(min_value=0.01, max_value=0.5),
+    stiffly_accurate=st.booleans(),
+    pc_kind=st.sampled_from([None, PreconditionerKind.BLOCK_DIAGONAL,
+                             PreconditionerKind.BLOCK_LOWER, PreconditionerKind.RANA_LD]),
+    data=st.data(),
+)
+def test_one_nonlinear_step_matches_dense_newton(
+    form, m, s, seed, dt, stiffly_accurate, pc_kind, data
+):
+    # Oracle: dense Newton on the stage-derivative equations
+    # M k_i + K U_i + d U_i^3 - f(t_i) = 0, U_i = u0 + dt sum_j a_ij k_j,
+    # with the DAE boundary values of k held fixed on the Dirichlet dofs.
+    # Every formulation solves these equations in its own unknown.
+    from implicitrk.tableaux import ButcherTableau
+
+    rng = np.random.default_rng(seed)
+    M, K = _random_spd(rng, m), _random_spd(rng, m) / m
+    # a lumped cubic reaction with positive weights
+    d = rng.uniform(0.5, 1.5, m)
+    A = np.diag(rng.uniform(0.2, 1.5, s))
+    A += np.tril(rng.uniform(-0.5, 0.5, (s, s)), -1)
+    if form is not DIRK:
+        A += np.triu(rng.uniform(-0.5, 0.5, (s, s)), 1)
+    assume(np.linalg.cond(A) < 1e3)
+    b = A[-1].copy() if stiffly_accurate else rng.uniform(0.1, 1.0, s)
+    assume(abs(b.sum()) > 0.1)
+    b /= b.sum()
+    if stiffly_accurate:
+        A[-1] = b
+    tab = ButcherTableau(A, b, rng.uniform(0.0, 1.0, s), 1, 1, "random")
+    dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))),
+                    dtype=np.int64)
+    g0, g1 = 0.5 * rng.standard_normal(len(dofs)), 0.5 * rng.standard_normal(len(dofs))
+    f0, f1 = rng.standard_normal(m), rng.standard_normal(m)
+    t0 = float(rng.uniform(0.0, 1.0))
+    u0 = 0.5 * rng.standard_normal(m)
+    Ms, Ks = SparseMatrix.from_dense(M), SparseMatrix.from_dense(K)
+
+    def residual(t, u, udot):
+        return M @ udot + K @ u + d * u**3 - (f0 + t * f1)
+
+    def jacobian(t, u):
+        return SparseMatrix.from_dense(K + np.diag(3.0 * d * u**2))
+
+    p = SemidiscreteProblem(
+        m=m, mass=Ms, residual=residual, jacobian_u=jacobian,
+        dirichlet=DirichletBC(dofs, g=lambda t: g0 + t * g1), u0=u0,
+    )
+
+    times = t0 + tab.c * dt
+    W = np.array([g0 + ti * g1 - u0[dofs] for ti in times]) / dt
+    k = np.zeros((s, m))
+    k[:, dofs] = np.linalg.solve(A, W)
+    free = np.setdiff1d(np.arange(m), dofs)
+    fidx = (np.arange(s)[:, None] * m + free[None, :]).ravel()
+    for _ in range(60):
+        U = u0[None, :] + dt * (A @ k)
+        R = np.stack([residual(ti, U[i], k[i]) for i, ti in enumerate(times)])
+        R[:, dofs] = 0.0
+        if np.linalg.norm(R) < 1e-13:
+            break
+        J = np.zeros((s * m, s * m))
+        for i in range(s):
+            Ji = K + np.diag(3.0 * d * U[i] ** 2)
+            for j in range(s):
+                J[i * m:(i + 1) * m, j * m:(j + 1) * m] = (i == j) * M + dt * A[i, j] * Ji
+        Jf = J[np.ix_(fidx, fidx)]
+        assume(np.linalg.cond(Jf) < 1e6)
+        k.ravel()[fidx] -= np.linalg.solve(Jf, R.ravel()[fidx])
+    assume(np.linalg.norm(R) < 1e-13)
+    expect = u0 + dt * (b @ k)
+
+    st_ = TimeStepper(p, tab, dt, formulation=form, t0=t0, pc_kind=pc_kind,
+                      krylov=KrylovSettings(rtol=1e-13, atol=1e-15, maxit=400),
+                      newton=NewtonSettings(rtol=1e-12, atol=1e-13))
+    u1, rep = st_.step(p)
+    assert rep.newton_iters >= 1
+    np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
