@@ -130,13 +130,13 @@ def constrain_stage_system(
 
     Returns the constrained operator and right-hand side: constrained matrix
     rows become identity rows, and the known values are eliminated from the
-    coupled rows' right-hand sides.
+    coupled rows' right-hand sides.  The elimination is the thin product of
+    the operator's boundary columns with the values, not a full apply.
     """
     if len(bc.dofs) == 0:
         return op, rhs
     cop = ConstrainedStageOperator(op, bc.dofs)
-    g_ext = np.zeros(op.n)
-    g_ext[cop._idx] = np.asarray(stage_values, dtype=float).ravel()
-    out = rhs - op.apply(g_ext)
-    out[cop._idx] = g_ext[cop._idx]
-    return cop, out
+    G = np.asarray(stage_values, dtype=float).reshape(op.s, len(bc.dofs))
+    out = np.asarray(rhs, dtype=float).reshape(op.s, op.m) - op.apply_columns(bc.dofs, G)
+    out[:, bc.dofs] = G
+    return cop, out.ravel()

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import problems, tableaux
 from .bcs import BcMethod
-from .precond import PreconditionerKind
+from .precond import PreconditionerKind, butcher_eigenbasis
 from .sparsela import FactorizationError, KrylovSettings, NonConvergenceError
 from .stepper import (
+    FormulationError,
     NonlinearDivergenceError,
     StageFormulation,
     StepFailure,
@@ -267,6 +268,7 @@ def run_dirk_bench(nx, dt, nsteps, rtol=1e-8):
 
 def cmd_precond_bench(args) -> int:
     dt = args.dt if args.dt is not None else 1.0 / args.nx
+    pc = None
     if args.stage_type == "dirk":
         rows = run_dirk_bench(args.nx, dt, args.steps, rtol=args.rtol)
     else:
@@ -277,7 +279,10 @@ def cmd_precond_bench(args) -> int:
             args.nx, dt, args.steps, pc, _formulation(args), rtol=args.rtol
         )
     for s, elapsed, its, setup in rows:
-        print(f"s={s}: setup {setup:.3f}s, stepping {elapsed:.3f}s, mean its {its:.3f}")
+        # the eigen kind's accuracy rests on the conditioning of RadauIIA(s)'s eigenbasis
+        cond = (f", cond(T) {butcher_eigenbasis(tableaux.radau_iia(s).A)[2]:.4g}"
+                if pc is PreconditionerKind.EIGEN else "")
+        print(f"s={s}: setup {setup:.3f}s, stepping {elapsed:.3f}s, mean its {its:.3f}{cond}")
     _write_csv(
         args.out,
         "ns,time,Its",
@@ -296,7 +301,8 @@ def _common_flags(p, tableau_default):
     p.add_argument("--splitting", choices=["ai", "ia"], default="ai")
     p.add_argument("--bc-method", choices=["dae", "ode"], default="dae")
     p.add_argument("--pc", default="rana-ld",
-                   choices=["jacobi", "gs-lower", "gs-upper", "rana-ld", "rana-du", "none"])
+                   choices=["jacobi", "gs-lower", "gs-upper", "rana-ld", "rana-du", "eigen",
+                            "none"])
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--out", default="out.csv", help="output CSV path (bc-compare: directory)")
 
@@ -346,7 +352,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (tableaux.UnsupportedStageCountError,) as exc:
+    except (tableaux.UnsupportedStageCountError, FormulationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, NonlinearDivergenceError, StepFailure, FactorizationError) as exc:

@@ -1,10 +1,16 @@
 """Block preconditioners for the stage-coupled system.
 
-Every kind replaces the coupling matrix A with a triangular (or diagonal)
-surrogate and factorizes the resulting diagonal blocks once:
+Every kind replaces the coupling matrix A with a surrogate and factorizes
+its blocks once:
 
 * block diagonal / lower / upper come from the additive split A = L + D + U;
-* the Rana kinds take LD or DU from the multiplicative A = L diag(D) U.
+* the Rana kinds take LD or DU from the multiplicative A = L diag(D) U;
+* the eigen kind keeps A itself and decouples its stages by diagonalizing it
+  (``EigenPreconditioner``), so it is the exact inverse.
+
+A preconditioner whose surrogate is A itself (the eigen kind, or a triangular
+kind on a triangular tableau) is ``exact``: a linear stage system can be
+solved by one application of it.
 
 For the IA splitting the preconditioner is Atilde^-1 (x) M + dt * I (x) K
 (diagonal block i is (Atilde^-1)_ii M + dt K, off-diagonal coupling through
@@ -34,13 +40,31 @@ class PreconditionerKind(Enum):
     BLOCK_UPPER = "gs-upper"
     RANA_LD = "rana-ld"
     RANA_DU = "rana-du"
+    EIGEN = "eigen"
 
 
 _LOWER_KINDS = (PreconditionerKind.BLOCK_LOWER, PreconditionerKind.RANA_LD)
 _UPPER_KINDS = (PreconditionerKind.BLOCK_UPPER, PreconditionerKind.RANA_DU)
 
 
+# The largest cond(T) of A = T diag(lam) T^-1 the eigen kind accepts: the
+# transforms T and T^-1 amplify the rounding of the block solves by up to
+# cond(T).  RadauIIA s <= 5 reach at most 95.3, LobattoIIIC(3) 3.3 and
+# WSODIRK433 179; Alexander's DIRK, a triple eigenvalue, is not diagonalizable.
+EIGEN_COND_MAX = 1e4
+
+
+def butcher_eigenbasis(A):
+    """(lam, T, cond(T)) with A = T diag(lam) T^-1 and T of unit columns; a
+    conjugate pair of eigenvalues has conjugate columns.  cond(T) is inf
+    when T is singular."""
+    lam, T = np.linalg.eig(np.asarray(A, dtype=float))
+    return lam, T, float(np.linalg.cond(T))
+
+
 def _surrogate(kind: PreconditionerKind, tab: ButcherTableau) -> np.ndarray:
+    if kind is PreconditionerKind.EIGEN:
+        return tab.A.copy()
     if kind is PreconditionerKind.BLOCK_DIAGONAL:
         return np.diag(np.diag(tab.A))
     if kind is PreconditionerKind.BLOCK_LOWER:
@@ -61,11 +85,15 @@ class StagePreconditioner:
     """Factorized application of the surrogate stage system's inverse.
 
     Immutable once built; ``apply`` uses only local scratch, so a built
-    preconditioner can be shared between concurrent solves.
+    preconditioner can be shared between concurrent solves.  ``exact`` says
+    that the surrogate is the tableau's A, so that ``apply`` is the exact
+    inverse of the constrained stage operator built from the same M and Ks.
     """
 
-    def __init__(self, kind, A_tilde, A_tilde_inv, block_factors, form, M, Ks, dt, dofs):
+    def __init__(self, kind, A_tilde, A_tilde_inv, block_factors, form, M, Ks, dt, dofs,
+                 exact):
         self.kind = kind
+        self.exact = exact
         self.A_tilde = A_tilde
         self.A_tilde_inv = A_tilde_inv
         self.block_factors = block_factors
@@ -112,6 +140,50 @@ class StagePreconditioner:
         return X.ravel()
 
 
+class EigenPreconditioner(StagePreconditioner):
+    """Exact inverse of the constrained stage operator of a diagonalizable A
+    (Butcher, BIT 16 (1976); Southworth, Krzysik, Pazner & De Sterck, SISC
+    2022).
+
+    With A = T diag(lam) T^-1 the operator is (T (x) I) diag(B_k) (T^-1 (x) I),
+    with blocks B_k = M/lam_k + dt K (IA form, A^-1 = T diag(1/lam) T^-1) or
+    M + dt lam_k K (AI form).  The Dirichlet mask I (x) P commutes with
+    T (x) I, so the constrained operator's blocks are the constrained B_k.  A
+    real right-hand side has conjugate components on a conjugate pair, so one
+    complex block per pair is solved and its term doubled in the real part.
+    """
+
+    def __init__(self, A, A_inv, form, M, K, dt, dofs):
+        lam, T, cond = butcher_eigenbasis(A)
+        if not cond <= EIGEN_COND_MAX:
+            raise FactorizationError(
+                f"eigen preconditioning needs cond(T) <= {EIGEN_COND_MAX:g}, got {cond:.3g}"
+            )
+        keep = lam.imag >= 0.0
+        factors = []
+        for lk in lam[keep]:
+            lk = lk.real if lk.imag == 0.0 else lk
+            if form is Splitting.IA:
+                factors.append(factorize_block(M, K, 1.0 / lk, dt, dofs))
+            else:
+                factors.append(factorize_block(M, K, 1.0, dt * lk, dofs))
+        super().__init__(PreconditionerKind.EIGEN, A, A_inv, factors, form, M, [K], dt, dofs,
+                         exact=True)
+        self._T_inv = np.linalg.inv(T)[keep]
+        self._T = T[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
+
+    def apply(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        if r.shape != (self.n,):
+            raise ValueError(f"preconditioner expects length {self.n}, got {r.shape}")
+        Y = self._T_inv @ r.reshape(self.s, self.m)
+        Z = np.empty_like(Y)
+        for k, fac in enumerate(self.block_factors):
+            # a real eigenvalue's block is real, and so is its component
+            Z[k] = fac.solve(Y[k] if fac.dtype.kind == "c" else Y[k].real)
+        return (self._T @ Z).real.ravel()
+
+
 def build_preconditioner(
     kind: PreconditionerKind,
     tab: ButcherTableau,
@@ -142,6 +214,10 @@ def build_preconditioner(
         raise FactorizationError(
             f"IA-form preconditioning needs an invertible tableau, got {tab.name!r}"
         )
+    if kind is PreconditionerKind.EIGEN:
+        if len(Ks) != 1:
+            raise ValueError("eigen preconditioning needs one stiffness shared by all stages")
+        return EigenPreconditioner(A_tilde, A_tilde_inv, form, M, Ks[0], dt, dofs)
     factors = []
     for i in range(tab.s):
         Ki = Ks[0] if len(Ks) == 1 else Ks[i]
@@ -149,4 +225,5 @@ def build_preconditioner(
             factors.append(factorize_block(M, Ki, A_tilde_inv[i, i], dt, dofs))
         else:
             factors.append(factorize_block(M, Ki, 1.0, dt * A_tilde[i, i], dofs))
-    return StagePreconditioner(kind, A_tilde, A_tilde_inv, factors, form, M, Ks, dt, dofs)
+    return StagePreconditioner(kind, A_tilde, A_tilde_inv, factors, form, M, Ks, dt, dofs,
+                               exact=np.array_equal(A_tilde, tab.A))

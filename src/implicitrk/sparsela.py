@@ -52,6 +52,9 @@ class SparseMatrix:
     # (TensorPair, "mass" or "stiffness") on the matrices made by
     # tensor_product_pair, None on every other matrix
     _tensor = None
+    # (column indices as bytes, those columns in CSC form) of the last
+    # ``columns`` call
+    _columns = None
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
@@ -110,6 +113,17 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
+
+    def columns(self, cols) -> sp.csc_matrix:
+        """The columns ``cols`` as an nrows-by-len(cols) CSC matrix.  The
+        slice of the last ``cols`` asked for is kept, so that eliminating the
+        same Dirichlet columns step after step slices them once."""
+        key = np.asarray(cols, dtype=np.int64).tobytes()
+        cached = self._columns
+        if cached is None or cached[0] != key:
+            cached = (key, self.to_scipy()[:, cols].tocsc())
+            self._columns = cached
+        return cached[1]
 
     @property
     def shape(self):
@@ -235,7 +249,8 @@ class _FastDiagonalization:
     The block is the identity on the boundary.  On the interior it is
     (V^-T (x) V^-T) diag(alpha + dt*(lam_i + lam_j)) (V^-1 (x) V^-1), so
     x = V (V^T R V / D) V^T for the interior values R of the right-hand side
-    (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).
+    (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  A complex alpha or dt
+    makes D, and the solution, complex; (lam, V) stay real and shared.
     """
 
     def __init__(self, pair: TensorPair, alpha: float, dt: float):
@@ -250,7 +265,7 @@ class _FastDiagonalization:
         self.n1 = pair.n1
 
     def solve(self, b) -> np.ndarray:
-        x = np.array(b, dtype=float)
+        x = np.array(b, dtype=self.D.dtype)
         # one lattice per right-hand side: b may be (n,) or (n, k), as for SuperLU
         X = x.T.reshape(-1, self.n1, self.n1)
         V = self.V
@@ -265,12 +280,16 @@ class BlockFactorization:
     of a ``tensor_product_pair`` and a SuperLU sparse LU, with a
     fill-reducing column ordering, for every other block; the contract is
     only the solve residual.  ``apply`` aliases ``solve`` so a factorization
-    can stand in as an exact preconditioner.
+    can stand in as an exact preconditioner, and ``exact`` says that it is
+    one.  ``dtype`` is complex when alpha or dt is, and a solve returns it.
     """
 
-    def __init__(self, lu, n: int, build_matrix):
+    exact = True
+
+    def __init__(self, lu, n: int, dtype, build_matrix):
         self._lu = lu
         self.n = n
+        self.dtype = dtype
         self._build_matrix = build_matrix
 
     @functools.cached_property
@@ -280,12 +299,9 @@ class BlockFactorization:
         return self._build_matrix()
 
     def solve(self, b) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        return self._lu.solve(np.asarray(b, dtype=self.dtype))
 
     apply = solve
-
-    def matvec(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
 
 
 def _block_matrix(M, K, alpha, dt, dirichlet) -> sp.csc_matrix:
@@ -298,11 +314,14 @@ def _block_matrix(M, K, alpha, dt, dirichlet) -> sp.csc_matrix:
 def factorize_block(
     M: SparseMatrix,
     K: SparseMatrix,
-    alpha: float,
-    dt: float,
+    alpha: complex,
+    dt: complex,
     dirichlet=None,
 ) -> BlockFactorization:
     """Factorize alpha*M + dt*K, optionally with Dirichlet-constrained rows/cols.
+
+    ``alpha`` and ``dt`` may be complex, as for the eigenvalue blocks of a
+    diagonalized Butcher matrix; the factorization is then complex.
 
     When M and K are the mass and stiffness of one ``tensor_product_pair``
     and ``dirichlet`` is exactly its lattice boundary, the block is solved by
@@ -325,10 +344,11 @@ def factorize_block(
         except RuntimeError as exc:
             raise FactorizationError(f"stage block factorization failed: {exc}") from exc
         build_matrix = lambda: C
-    probe = lu.solve(np.ones(M.nrows))
+    dtype = np.result_type(alpha, dt, float)
+    probe = lu.solve(np.ones(M.nrows, dtype=dtype))
     if not np.all(np.isfinite(probe)):
         raise FactorizationError("stage block is numerically singular")
-    return BlockFactorization(lu, M.nrows, build_matrix)
+    return BlockFactorization(lu, M.nrows, dtype, build_matrix)
 
 
 class KroneckerStageOperator:
@@ -373,6 +393,22 @@ class KroneckerStageOperator:
             for i in range(self.s):
                 out[i] += self.dt * (self.Ks[i].to_scipy() @ U2[i])
         return out.ravel()
+
+    def apply_columns(self, cols, G) -> np.ndarray:
+        """The action on a stage vector that is G, shape (s, len(cols)), on
+        the spatial dofs ``cols`` and zero elsewhere:
+        (C1 (x) M[:, cols] + dt * C2 (x) K[:, cols]) G, of shape (s, m).  It
+        reads only those columns of M and K, which ``SparseMatrix.columns``
+        keeps, so a thin boundary costs a thin product."""
+        G1 = self.C1 @ G
+        G2 = self.C2 @ G
+        out = (self.M.columns(cols) @ G1.T).T
+        if len(self.Ks) == 1:
+            out = out + self.dt * (self.Ks[0].columns(cols) @ G2.T).T
+        else:
+            for i in range(self.s):
+                out[i] += self.dt * (self.Ks[i].columns(cols) @ G2[i])
+        return out
 
     def to_dense(self) -> np.ndarray:
         """Explicit Kronecker-sum assembly; intended for small-m cross-checks."""
@@ -440,7 +476,9 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> F
     with left preconditioning the residual is measured on the preconditioned
     system.  The iteration count reported is the number of preconditioned
     operator applications.  Breakdown of the Arnoldi recurrence (Hessenberg
-    subdiagonal below 1e-14*||b||) is treated as lucky termination.
+    subdiagonal below 1e-14*||b||) is treated as lucky termination.  A
+    rotated Hessenberg column that is exactly zero means the operator is
+    singular on the Krylov space, and raises NonConvergenceError.
     """
     st = settings or KrylovSettings()
     b = np.asarray(b, dtype=float)
@@ -510,10 +548,12 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> F
                 H[i, j] = t
             d = np.hypot(H[j, j], H[j + 1, j])
             if d == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-                d = 1e-300
-            else:
-                cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
+                raise NonConvergenceError(
+                    f"fgmres: breakdown at iteration {iterations}: the operator is "
+                    f"singular on the Krylov space (residual {residuals[-1]:.3e})",
+                    residuals,
+                )
+            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
             H[j, j] = d
             H[j + 1, j] = 0.0
             g[j + 1] = -sn[j] * g[j]

@@ -17,7 +17,10 @@ system, and ``TimeStepper.step`` chooses the systems:
 * DIRK solves s one-stage systems in turn, stage i with A = [[a_ii]] and the
   base state u_n + dt * sum_{j<i} a_ij K_j.
 
-A linear problem takes exactly one Newton correction per system.
+A linear problem takes exactly one Newton correction per system.  When the
+factors built for it are exact (a one-stage block, the eigen kind, or a
+triangular kind on a triangular tableau) that correction is one application
+of them, with no FGMRES; every other system is solved by FGMRES.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
 residual is M u' + K u - f.
@@ -39,7 +42,12 @@ from .bcs import (
     constrain_stage_system,
     stage_bc_values,
 )
-from .precond import PreconditionerKind, build_preconditioner
+from .precond import (
+    EIGEN_COND_MAX,
+    PreconditionerKind,
+    build_preconditioner,
+    butcher_eigenbasis,
+)
 from .sparsela import (
     FactorizationError,
     KroneckerStageOperator,
@@ -103,8 +111,12 @@ class StepReport:
 
     ``newton_iters`` counts Newton corrections, summed over the step's stage
     systems.  A linear stage system takes exactly one, so a linear coupled
-    step reports 1 and a linear DIRK step reports s.  ``newton_residuals``
-    holds the residual norms of nonlinear solves only.
+    step reports 1 and a linear DIRK step reports s.  ``krylov_iters`` counts
+    preconditioned solves: FGMRES iterations, and 1 for a direct solve through
+    exact factors, so a linear DIRK step reports s.  ``final_residual`` is
+    the last system's final FGMRES residual, or for a nonlinear problem its
+    final Newton residual; a direct solve measures none and reports NaN.
+    ``newton_residuals`` holds the residual norms of nonlinear solves only.
     """
 
     newton_iters: int
@@ -120,7 +132,7 @@ class _CachedFactors:
     """A preconditioner or stage-block factorization held across solves.
 
     ``its`` is the FGMRES iteration count of the first Newton solve through
-    it; a later one that needs more marks it stale (see ``_krylov_solve``).
+    it; a later one that needs more marks it stale (see ``_correction``).
     """
 
     factors: object
@@ -300,6 +312,15 @@ class TimeStepper:
             raise FormulationError(
                 f"DIRK stepping needs a lower-triangular tableau, got {tableau.name!r}"
             )
+        if pc_kind is PreconditionerKind.EIGEN:
+            if not problem.is_linear:
+                raise FormulationError("the eigen preconditioner needs a linear problem")
+            cond = butcher_eigenbasis(tableau.A)[2]
+            if not cond <= EIGEN_COND_MAX:
+                raise FormulationError(
+                    f"the eigen preconditioner needs a diagonalizable tableau with "
+                    f"cond(T) <= {EIGEN_COND_MAX:g}, got {cond:.3g} for {tableau.name!r}"
+                )
         self.problem = problem
         self.tableau = tableau
         self.formulation = formulation
@@ -307,8 +328,9 @@ class TimeStepper:
         self.krylov = krylov or KrylovSettings()
         self.pc_kind = pc_kind
         self.newton = newton or NewtonSettings()
-        # warm_start seeds each linear stage solve with the previous solve's
-        # stages; off by default so repeated runs reproduce bit for bit
+        # warm_start seeds the FGMRES solve of a linear system through inexact
+        # factors (or none) with the previous solve's stages; a direct solve
+        # takes no start.  Off by default so repeated runs reproduce bit for bit
         self.warm_start = warm_start
         self._last_stages = None
         self._t_base = float(t0)
@@ -383,29 +405,34 @@ class TimeStepper:
             self._factor_cache[key] = _CachedFactors(self._build(system, kind, Ks))
         return key, self._factor_cache[key]
 
-    def _krylov_solve(self, system, kind, Ks, op, rhs, x0=None):
-        """FGMRES on one Newton system, preconditioned by cached factors.
+    def _correction(self, system, kind, Ks, op, rhs, x0=None):
+        """Solve one Newton system ``op`` x = ``rhs`` through cached factors.
 
-        ``op`` carries the current Jacobians ``Ks``, so the correction is exact
-        up to the FGMRES tolerance; only the preconditioner lags.  It is built
-        from ``Ks`` when missing.  A linear problem's factors are exact for
-        every solve and never go stale.  For a nonlinear problem, a solve
-        through lagged factors that needs more iterations than their first
-        solve marks them stale by dropping them, so the next Newton iteration
-        rebuilds them.  If FGMRES fails through lagged factors, they are
-        rebuilt and the solve is retried once; a failure through fresh
-        factors drops them and raises.
+        The factors are built from the Jacobians ``Ks`` when missing.  A
+        linear problem's factors never go stale; when they are ``exact`` the
+        system is solved by one application of them, with no FGMRES and no
+        apply of ``op``.  Every other system goes to FGMRES preconditioned by
+        the factors.  ``op`` carries the current Jacobians, so the correction
+        is exact up to the FGMRES tolerance; only the preconditioner lags.
+        For a nonlinear problem, a solve through lagged factors that needs
+        more iterations than their first solve marks them stale by dropping
+        them, so the next Newton iteration rebuilds them.  If FGMRES fails
+        through lagged factors, they are rebuilt and the solve is retried
+        once; a failure through fresh factors drops them and raises.
 
-        Returns the result and the FGMRES iterations spent, failed attempt
-        included.
+        Returns the correction, the preconditioned solves spent (FGMRES
+        iterations, failed attempt included, or 1 for a direct solve) and the
+        final FGMRES residual (NaN for a direct solve).
         """
         if kind is None:
             res = fgmres(op, rhs, None, self.krylov, x0=x0)
-            return res, res.iterations
+            return res.x, res.iterations, res.residuals[-1]
         lag = not system.problem.is_linear
         wasted = 0
         while True:
             key, entry = self._factors(system, kind, Ks)
+            if not lag and entry.factors.exact:
+                return entry.factors.apply(rhs), 1, float("nan")
             try:
                 res = fgmres(op, rhs, entry.factors, self.krylov, x0=x0)
             except NonConvergenceError as exc:
@@ -420,7 +447,7 @@ class TimeStepper:
                 entry.its = res.iterations
             elif lag and res.iterations > entry.its:
                 del self._factor_cache[key]
-            return res, wasted + res.iterations
+            return res.x, wasted + res.iterations, res.residuals[-1]
 
     def _solve(self, system, svals, kind):
         """Newton on ``system`` with boundary stage values ``svals``.
@@ -430,10 +457,11 @@ class TimeStepper:
         svals - X through ``constrain_stage_system``.  Nonlinear iterates
         start with the boundary values in place, so their corrections are
         zero there.  Per-stage Jacobians are refreshed every iteration; the
-        preconditioner built from them lags (``_krylov_solve``).
+        preconditioner built from them lags (``_correction``).
 
         Returns the unknown X, the stage derivatives at X, and the Newton
-        corrections, FGMRES iterations, final residual and residual history.
+        corrections, preconditioned solves, final residual and residual
+        history.
         """
         problem = system.problem
         linear = problem.is_linear
@@ -472,18 +500,18 @@ class TimeStepper:
                 sop = ConstrainedStageOperator(op, dofs)
             last = self._last_stages if linear and self.warm_start else None
             x0 = (last - X).ravel() if last is not None and last.shape == X.shape else None
-            res, its = self._krylov_solve(system, kind, op.Ks, sop, rhs, x0)
+            dx, its, final = self._correction(system, kind, op.Ks, sop, rhs, x0)
             krylov += its
-            X = X + res.x.reshape(X.shape)
+            X = X + dx.reshape(X.shape)
             if len(dofs):
                 X[:, dofs] = svals
             if linear:
                 if self.warm_start:
                     self._last_stages = X.copy()
-                return X, system.derivatives(X), (1, krylov, res.residuals[-1], [])
+                return X, system.derivatives(X), (1, krylov, final, [])
             # release this iteration's Jacobians and operator before the next
             # ones are built; the lagged preconditioner keeps what it needs
-            del op, sop, res
+            del op, sop, dx
 
     def setup(self, problem: SemidiscreteProblem | None = None):
         """Factorize now what stepping a linear problem will need.

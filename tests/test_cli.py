@@ -128,6 +128,28 @@ class TestPrecondBench:
         its = [float(r[2]) for r in rows]
         assert its[1] > its[0]
 
+    def test_eigen_rows_print_cond(self, tmp_path, capsys):
+        out = tmp_path / "eigen.csv"
+        rc = main([
+            "precond-bench", "--nx", "8", "--steps", "2", "--pc", "eigen",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = read_csv(out)
+        # every step is one direct solve, whatever the stage count
+        assert [float(r[2]) for r in rows] == [1.0] * 4
+        printed = capsys.readouterr().out
+        assert "s=4:" in printed and "cond(T) 28.32" in printed
+
+    def test_eigen_on_a_defective_tableau_exit_2(self, tmp_path, capsys):
+        rc = main([
+            "converge", "--mode", "temporal", "--problem", "heat1d", "--nx", "8",
+            "--tableau", "alexander", "--pc", "eigen", "--dt-list", "0.2",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 2
+        assert "cond(T)" in capsys.readouterr().err
+
     def test_solver_failure_exit_3(self, tmp_path):
         # an unreachable tolerance on a system larger than the restart length
         # exhausts maxit (small systems instead terminate by lucky breakdown)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from implicitrk.precond import (
+    EIGEN_COND_MAX,
     PreconditionerKind,
     build_preconditioner,
+    butcher_eigenbasis,
 )
+from implicitrk.problems import StructuredGrid, assemble_heat
 from implicitrk.sparsela import (
     FactorizationError,
     KroneckerStageOperator,
@@ -200,6 +203,17 @@ class TestExactness:
         res = fgmres(op, b, pc, KrylovSettings(rtol=1e-8))
         assert res.iterations == 1
 
+    def test_exact_only_where_the_surrogate_is_a(self):
+        M, K = spd_pair(3, 6)
+        # on a lower-triangular A, L diag(D) of A = L diag(D) U is A itself
+        kinds = {PreconditionerKind.BLOCK_LOWER: True, PreconditionerKind.RANA_LD: True,
+                 PreconditionerKind.BLOCK_UPPER: False, PreconditionerKind.BLOCK_DIAGONAL: False}
+        for kind, exact in kinds.items():
+            pc = build_preconditioner(kind, alexander_dirk(), M, K, 0.1, Splitting.AI)
+            assert pc.exact is exact, kind
+        pc = build_preconditioner(PreconditionerKind.BLOCK_LOWER, radau_iia(2), M, K, 0.1)
+        assert not pc.exact
+
 
 class TestPcSides:
     def test_upper_kinds_work_under_left_preconditioning(self):
@@ -324,3 +338,54 @@ def test_coupling_product_formed_once_per_solved_stage(form):
     pc.M, pc.Ks = Counting(pc.M), [Counting(K) for K in pc.Ks]
     np.testing.assert_array_equal(pc.apply(r), expect)
     assert len(count) == 3
+
+
+class TestEigen:
+    @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+    @pytest.mark.parametrize(
+        "tab",
+        [radau_iia(1), radau_iia(2), radau_iia(3), radau_iia(4), radau_iia(5),
+         lobatto_iiic(2), lobatto_iiic(3)],
+        ids=lambda t: t.name,
+    )
+    @pytest.mark.parametrize("tensor", [True, False], ids=["tensor", "superlu"])
+    def test_matches_dense_constrained_stage_solve(self, form, tab, tensor):
+        # the stage operator itself, with Dirichlet rows replaced and columns
+        # eliminated, solved densely; the eigen kind inverts it exactly
+        M, K, dofs = assemble_heat(StructuredGrid(2, 5))
+        if not tensor:
+            M = SparseMatrix.from_scipy(M.to_scipy())
+        m, s_, dt = M.nrows, tab.s, 0.05
+        pc = build_preconditioner(PreconditionerKind.EIGEN, tab, M, K, dt, form, dofs)
+        assert pc.exact
+        C1, C2 = ((np.linalg.inv(tab.A), np.eye(s_)) if form is Splitting.IA
+                  else (np.eye(s_), tab.A))
+        dense = KroneckerStageOperator(C1, C2, M, [K], dt).to_dense()
+        idx = (np.arange(s_)[:, None] * m + dofs[None, :]).ravel()
+        dense[idx, :] = 0.0
+        dense[:, idx] = 0.0
+        dense[idx, idx] = 1.0
+        r = np.random.default_rng(s_).standard_normal(s_ * m)
+        ref = np.linalg.solve(dense, r)
+        assert np.linalg.norm(pc.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("s, blocks", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_one_block_per_conjugate_pair(self, s, blocks):
+        M, K = spd_pair(4, s)
+        pc = build_preconditioner(PreconditionerKind.EIGEN, radau_iia(s), M, K, 0.1)
+        assert len(pc.block_factors) == blocks
+        # RadauIIA(s) has one real eigenvalue when s is odd
+        assert [f.dtype.kind for f in pc.block_factors].count("f") == s % 2
+
+    def test_condition_bound(self):
+        conds = [butcher_eigenbasis(radau_iia(s).A)[2] for s in range(1, 6)]
+        assert max(conds) < 100.0
+        assert butcher_eigenbasis(wsodirk433().A)[2] < EIGEN_COND_MAX
+        # a triple eigenvalue: not diagonalizable
+        assert not butcher_eigenbasis(alexander_dirk().A)[2] <= EIGEN_COND_MAX
+        M, K = spd_pair(3, 5)
+        with pytest.raises(FactorizationError):
+            build_preconditioner(PreconditionerKind.EIGEN, alexander_dirk(), M, K, 0.1,
+                                 Splitting.AI)
+        with pytest.raises(ValueError):
+            build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, [K, K], 0.1)

@@ -179,7 +179,7 @@ class TestFactorizeBlock:
         rng = np.random.default_rng(1)
         for _ in range(5):
             b = rng.standard_normal(10)
-            r = fac.matvec(fac.solve(b)) - b
+            r = fac.matrix @ fac.solve(b) - b
             assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(b)
 
     @staticmethod
@@ -187,7 +187,7 @@ class TestFactorizeBlock:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             b = rng.standard_normal(fac.n)
-            r = fac.matvec(fac.solve(b)) - b
+            r = fac.matrix @ fac.solve(b) - b
             assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_nonsymmetric_constrained_block(self):
@@ -222,6 +222,25 @@ class TestFactorizeBlock:
         S = np.block([[A, B], [B.T, np.zeros((3, 3))]])
         fac = factorize_block(SparseMatrix.identity(9), SparseMatrix.from_dense(S), 0.0, 1.0)
         self.assert_solves(fac, 5)
+
+    @pytest.mark.parametrize("tensor", [True, False], ids=["tensor", "superlu"])
+    def test_complex_block(self, tensor):
+        # the eigenvalue blocks of a diagonalized Butcher matrix are complex;
+        # a copy of M carries no 1D factors and takes the SuperLU path
+        M, K, bdofs = assemble_heat(StructuredGrid(2, 5))
+        if not tensor:
+            M = SparseMatrix.from_scipy(M.to_scipy())
+        alpha, dt = 3.2 + 4.8j, 0.1
+        fac = factorize_block(M, K, alpha, dt, bdofs)
+        assert uses_superlu(fac) is not tensor
+        assert fac.dtype == np.complex128
+        C = constrained_dense(M, K, alpha, dt, bdofs)
+        b = np.random.default_rng(3).standard_normal(M.nrows) * (1 - 2j)
+        np.testing.assert_allclose(fac.solve(b), np.linalg.solve(C, b), rtol=1e-12, atol=1e-12)
+        # a complex dt with a real alpha, as in the AI-form blocks
+        fac = factorize_block(M, K, 1.0, dt * alpha, bdofs)
+        C = constrained_dense(M, K, 1.0, dt * alpha, bdofs)
+        np.testing.assert_allclose(fac.solve(b), np.linalg.solve(C, b), rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch(self):
         M, _ = p1_pair(4)
@@ -423,6 +442,22 @@ class TestKronecker:
         blk = dense[m : 2 * m, 2 * m : 3 * m]
         np.testing.assert_allclose(blk, dt * C2[1, 2] * Ks[1].to_dense(), atol=1e-13)
 
+    @pytest.mark.parametrize("per_stage", [False, True])
+    def test_apply_columns_is_apply_of_a_vector_zero_elsewhere(self, per_stage):
+        rng = np.random.default_rng(23)
+        s, m, dt = 3, 7, 0.3
+        M = random_sparse_spd(m, 7)
+        Ks = [random_sparse_spd(m, 8 + i) for i in range(s if per_stage else 1)]
+        op = KroneckerStageOperator(rng.standard_normal((s, s)), rng.standard_normal((s, s)),
+                                    M, Ks, dt)
+        # a second column set replaces the first in the column cache
+        for cols in (np.array([0, 3, 6]), np.array([2]), np.array([0, 3, 6])):
+            G = rng.standard_normal((s, len(cols)))
+            V = np.zeros((s, m))
+            V[:, cols] = G
+            np.testing.assert_allclose(op.apply_columns(cols, G).ravel(), op.apply(V.ravel()),
+                                       rtol=1e-14, atol=1e-14)
+
     def test_dimension_error(self):
         M, K = p1_pair(4)
         op = KroneckerStageOperator(np.eye(2), np.eye(2), M, [K], 0.1)
@@ -474,6 +509,18 @@ class TestFgmres:
         with pytest.raises(NonConvergenceError) as err:
             fgmres(A, b, settings=KrylovSettings(rtol=1e-14, maxit=3, restart=2))
         assert len(err.value.residuals) >= 3
+
+    @pytest.mark.parametrize("A, b", [
+        (np.zeros((3, 3)), np.ones(3)),
+        # nilpotent: the second direction maps onto the null space
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0])),
+    ], ids=["zero", "nilpotent"])
+    def test_singular_operator_raises(self, A, b):
+        # Arnoldi breaks down with a zero rotated diagonal: the least-squares
+        # problem is singular, so there is no converged solution to report
+        with pytest.raises(NonConvergenceError) as err:
+            fgmres(A, b)
+        assert err.value.residuals[-1] == pytest.approx(np.linalg.norm(b))
 
     def test_zero_rhs(self):
         res = fgmres(np.eye(4), np.zeros(4))

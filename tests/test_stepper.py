@@ -13,7 +13,12 @@ from implicitrk.bcs import (
     constrain_stage_system,
     stage_bc_values,
 )
-from implicitrk.precond import PreconditionerKind, build_preconditioner
+from implicitrk.precond import (
+    EIGEN_COND_MAX,
+    PreconditionerKind,
+    build_preconditioner,
+    butcher_eigenbasis,
+)
 from implicitrk.problems import (
     StructuredGrid,
     assemble_heat,
@@ -450,25 +455,31 @@ class TestAdvance:
         step(p)
         assert st.t == pytest.approx(1.2)
 
-    @pytest.mark.parametrize("form, pc_kind", [(DIRK, None), (AI, PreconditionerKind.RANA_LD)])
-    def test_singular_stage_block_fails_the_step(self, form, pc_kind):
+    @pytest.mark.parametrize("form, pc_kind, cause", [
+        (DIRK, None, FactorizationError),
+        (AI, PreconditionerKind.RANA_LD, FactorizationError),
+        # unpreconditioned: FGMRES breaks down on the singular operator
+        (AI, None, NonConvergenceError),
+    ])
+    def test_singular_stage_block_fails_the_step(self, form, pc_kind, cause):
         # M = 1, K = -1: the RadauIIA(1) stage block M + dt K is singular at dt = 1
         p = scalar_problem(-1.0)
         st = TimeStepper(p, radau_iia(1), 0.5, formulation=form, pc_kind=pc_kind)
-        st.step(p)
+        u1, _ = st.step(p)
         st.dt = 1.0
         with pytest.raises(StepFailure) as err:
             advance(st, p, 3.0)
-        assert isinstance(err.value.__cause__, FactorizationError)
+        assert isinstance(err.value.__cause__, cause)
         assert err.value.completed_steps == 0
         assert err.value.reports == []
         assert st.dt == 1.0
+        np.testing.assert_array_equal(st.u, u1)
         # K = -2: singular on the short last step only, after two full steps
         p = scalar_problem(-2.0)
         st = TimeStepper(p, radau_iia(1), 0.75, formulation=form, pc_kind=pc_kind)
         with pytest.raises(StepFailure) as err:
             advance(st, p, 2.0)
-        assert isinstance(err.value.__cause__, FactorizationError)
+        assert isinstance(err.value.__cause__, cause)
         assert err.value.completed_steps == 2
         assert len(err.value.reports) == 2
         assert st.dt == 0.75
@@ -674,6 +685,60 @@ class TestLaggedNewtonPreconditioner:
         np.testing.assert_allclose(u_next, u_fresh, rtol=0, atol=1e-10)
 
 
+def as_newton(p):
+    """The linear problem p with its synthesized residual, on the Newton path."""
+    return SemidiscreteProblem(
+        m=p.m, mass=p.mass, residual=p.residual, jacobian_u=lambda t, u: p.stiffness,
+        dirichlet=p.dirichlet, u0=p.u0, grid=p.grid,
+    )
+
+
+EXACT_CASES = [
+    (DIRK, wsodirk433(), None),
+    (AI, alexander_dirk(), PreconditionerKind.BLOCK_LOWER),
+    (IA, alexander_dirk(), PreconditionerKind.RANA_LD),
+    (AI, radau_iia(1), PreconditionerKind.BLOCK_DIAGONAL),
+    (IA, radau_iia(3), PreconditionerKind.EIGEN),
+    (VALUE, lobatto_iiic(3), PreconditionerKind.EIGEN),
+    (AI, radau_iia(4), PreconditionerKind.EIGEN),
+]
+
+
+@pytest.mark.parametrize("form, tab, pc_kind", EXACT_CASES)
+def test_exact_factors_solve_linear_systems_directly(monkeypatch, form, tab, pc_kind):
+    from implicitrk import stepper as stepper_mod
+    from implicitrk.sparsela import KroneckerStageOperator
+
+    p = incompatible_heat_1d(12)
+    expect, _ = advance(TimeStepper(p, tab, 0.05, formulation=form, krylov=TIGHT), p, 0.2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a direct solve needs no FGMRES and no operator apply")
+
+    monkeypatch.setattr(stepper_mod, "fgmres", forbidden)
+    monkeypatch.setattr(KroneckerStageOperator, "apply", forbidden)
+    st = TimeStepper(p, tab, 0.05, formulation=form, pc_kind=pc_kind)
+    u, reports = advance(st, p, 0.2)
+    np.testing.assert_allclose(u, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
+    assert all(np.isnan(r.final_residual) for r in reports)
+
+
+@pytest.mark.parametrize("form, tab, pc_kind", EXACT_CASES[:2])
+def test_direct_and_fgmres_steps_report_the_same_counts(form, tab, pc_kind):
+    # the Newton path solves the same systems by FGMRES through the same
+    # exact factors: one iteration per solve, as a direct solve counts
+    p = incompatible_heat_1d(12)
+    runs = []
+    for problem in (p, as_newton(p)):
+        st = TimeStepper(problem, tab, 0.05, formulation=form, pc_kind=pc_kind, krylov=TIGHT)
+        u, reports = advance(st, problem, 0.2)
+        runs.append((u, [(r.newton_iters, r.krylov_iters, r.factorizations) for r in reports]))
+    (u_direct, direct), (u_krylov, krylov) = runs
+    assert direct == krylov
+    assert direct[0][:2] == ((tab.s, tab.s) if form is DIRK else (1, 1))
+    np.testing.assert_allclose(u_direct, u_krylov, rtol=0, atol=1e-10)
+
+
 class TestInvariants:
     def test_formulation_equivalence_linear(self):
         p = incompatible_heat_1d(16)
@@ -810,6 +875,26 @@ class TestValidation:
         u2, _ = advance(st2, p, 0.3)
         assert np.array_equal(u1, u2)
 
+    def test_warm_start_leaves_direct_solves_unchanged(self):
+        # every DIRK stage is solved directly through its exact block, which
+        # takes no start, so a warm trajectory is the cold one bit for bit
+        p = incompatible_heat_1d(16)
+        runs = []
+        for warm in (False, True):
+            st = TimeStepper(p, wsodirk433(), 0.05, formulation=DIRK, warm_start=warm)
+            runs.append(advance(st, p, 0.3)[0])
+        np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_eigen_needs_a_linear_problem_and_a_diagonalizable_tableau(self):
+        p = incompatible_heat_1d(8)
+        for form in (AI, IA):
+            with pytest.raises(FormulationError, match="cond"):
+                TimeStepper(p, alexander_dirk(), 0.1, formulation=form,
+                            pc_kind=PreconditionerKind.EIGEN)
+        case = riccati()
+        with pytest.raises(FormulationError, match="linear"):
+            TimeStepper(case.problem, radau_iia(2), 0.1, pc_kind=PreconditionerKind.EIGEN)
+
     def test_dt_change_rebases_clock(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.25, krylov=TIGHT)
@@ -835,7 +920,7 @@ def _random_spd(rng, m):
     dt=st.floats(min_value=0.01, max_value=1.0),
     stiffly_accurate=st.booleans(),
     pc_kind=st.sampled_from([None, PreconditionerKind.BLOCK_DIAGONAL,
-                             PreconditionerKind.BLOCK_LOWER]),
+                             PreconditionerKind.BLOCK_LOWER, PreconditionerKind.EIGEN]),
     data=st.data(),
 )
 def test_one_step_matches_dense_constrained_stage_solve(
@@ -860,6 +945,8 @@ def test_one_step_matches_dense_constrained_stage_solve(
     b /= b.sum()
     if stiffly_accurate:
         A[-1] = b
+    if pc_kind is PreconditionerKind.EIGEN:
+        assume(butcher_eigenbasis(A)[2] <= EIGEN_COND_MAX)
     tab = ButcherTableau(A, b, rng.uniform(0.0, 1.0, s), 1, 1, "random")
     dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))),
                     dtype=np.int64)
