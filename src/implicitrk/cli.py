@@ -204,6 +204,27 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _timed_steps(problem, tab, dt, nsteps, solves_per_step, **options):
+    """Stepping seconds, mean iterations per linear solve and setup seconds
+    of ``nsteps`` steps by a new ``TimeStepper``, which does
+    ``solves_per_step`` linear solves a step; a step that fails records -1
+    iterations.  The blocks are factorized in setup, so that their cost stays
+    out of the stepping time."""
+    t_setup = time.perf_counter()
+    stepper = TimeStepper(problem, tab, dt, **options)
+    stepper.setup(problem)
+    setup = time.perf_counter() - t_setup
+    t0 = time.perf_counter()
+    try:
+        total_its = 0
+        for _ in range(nsteps):
+            _, rep = stepper.step(problem)
+            total_its += rep.krylov_iters
+    except (NonConvergenceError, StepFailure):
+        return time.perf_counter() - t0, -1.0, setup
+    return time.perf_counter() - t0, total_its / (nsteps * solves_per_step), setup
+
+
 def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, stages=(1, 2, 3, 4)):
     """Mean FGMRES iterations per linear solve for RadauIIA(s), s in stages.
 
@@ -214,29 +235,11 @@ def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, stages=(1
     grid = problems.StructuredGrid(2, nx)
     problem = problems.mms_heat_problem(grid, mms)
     krylov = KrylovSettings(rtol=rtol)
-    rows = []
-    for s in stages:
-        tab = tableaux.radau_iia(s)
-        t_setup = time.perf_counter()
-        stepper = TimeStepper(
-            problem, tab, dt, formulation=formulation,
-            krylov=krylov, pc_kind=pc_kind,
-        )
-        # factorize the preconditioner blocks now so setup cost stays out of
-        # the stepping-loop timing
-        stepper.setup(problem)
-        setup = time.perf_counter() - t_setup
-        t0 = time.perf_counter()
-        try:
-            total_its = 0
-            for _ in range(nsteps):
-                _, rep = stepper.step(problem)
-                total_its += rep.krylov_iters
-            elapsed = time.perf_counter() - t0
-            rows.append((s, elapsed, total_its / nsteps, setup))
-        except (NonConvergenceError, StepFailure):
-            rows.append((s, time.perf_counter() - t0, -1.0, setup))
-    return rows
+    return [
+        (s, *_timed_steps(problem, tableaux.radau_iia(s), dt, nsteps, 1,
+                          formulation=formulation, krylov=krylov, pc_kind=pc_kind))
+        for s in stages
+    ]
 
 
 def run_dirk_bench(nx, dt, nsteps, rtol=1e-8):
@@ -245,25 +248,11 @@ def run_dirk_bench(nx, dt, nsteps, rtol=1e-8):
     grid = problems.StructuredGrid(2, nx)
     problem = problems.mms_heat_problem(grid, mms)
     krylov = KrylovSettings(rtol=rtol)
-    rows = []
-    for tab in (tableaux.radau_iia(1), tableaux.alexander_dirk(), tableaux.wsodirk433()):
-        t_setup = time.perf_counter()
-        stepper = TimeStepper(
-            problem, tab, dt, formulation=StageFormulation.DIRK, krylov=krylov
-        )
-        stepper.setup(problem)
-        setup = time.perf_counter() - t_setup
-        t0 = time.perf_counter()
-        try:
-            total_its = 0
-            for _ in range(nsteps):
-                _, rep = stepper.step(problem)
-                total_its += rep.krylov_iters
-            elapsed = time.perf_counter() - t0
-            rows.append((tab.s, elapsed, total_its / (nsteps * tab.s), setup))
-        except (NonConvergenceError, StepFailure):
-            rows.append((tab.s, time.perf_counter() - t0, -1.0, setup))
-    return rows
+    return [
+        (tab.s, *_timed_steps(problem, tab, dt, nsteps, tab.s,
+                              formulation=StageFormulation.DIRK, krylov=krylov))
+        for tab in (tableaux.radau_iia(1), tableaux.alexander_dirk(), tableaux.wsodirk433())
+    ]
 
 
 def cmd_precond_bench(args) -> int:
@@ -349,10 +338,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (tableaux.UnsupportedStageCountError, FormulationError) as exc:
+    except (ConfigError, tableaux.UnsupportedStageCountError, FormulationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, NonlinearDivergenceError, StepFailure, FactorizationError) as exc:

@@ -286,29 +286,15 @@ class BlockFactorization:
 
     exact = True
 
-    def __init__(self, lu, n: int, dtype, build_matrix):
+    def __init__(self, lu, n: int, dtype):
         self._lu = lu
         self.n = n
         self.dtype = dtype
-        self._build_matrix = build_matrix
-
-    @functools.cached_property
-    def matrix(self) -> sp.csc_matrix:
-        """The constrained block in CSC form.  The fast diagonalization
-        never needs it, so it is built on first use."""
-        return self._build_matrix()
 
     def solve(self, b) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=self.dtype))
 
     apply = solve
-
-
-def _block_matrix(M, K, alpha, dt, dirichlet) -> sp.csc_matrix:
-    C = alpha * M.to_scipy() + dt * K.to_scipy()
-    if dirichlet is not None and len(dirichlet):
-        C = _constrain_csr(C, dirichlet)
-    return C.tocsc()
 
 
 def factorize_block(
@@ -336,19 +322,19 @@ def factorize_block(
     pair = _tensor_pair_of(M, K, dirichlet)
     if pair is not None:
         lu = _FastDiagonalization(pair, alpha, dt)
-        build_matrix = functools.partial(_block_matrix, M, K, alpha, dt, pair.boundary)
     else:
-        C = _block_matrix(M, K, alpha, dt, dirichlet)
+        C = alpha * M.to_scipy() + dt * K.to_scipy()
+        if dirichlet is not None and len(dirichlet):
+            C = _constrain_csr(C, dirichlet)
         try:
-            lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise FactorizationError(f"stage block factorization failed: {exc}") from exc
-        build_matrix = lambda: C
     dtype = np.result_type(alpha, dt, float)
     probe = lu.solve(np.ones(M.nrows, dtype=dtype))
     if not np.all(np.isfinite(probe)):
         raise FactorizationError("stage block is numerically singular")
-    return BlockFactorization(lu, M.nrows, dtype, build_matrix)
+    return BlockFactorization(lu, M.nrows, dtype)
 
 
 class KroneckerStageOperator:
@@ -435,7 +421,6 @@ class KrylovSettings:
     atol: float = 1e-50
     restart: int = 50
     maxit: int = 500
-    right_pc: bool = True
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -451,15 +436,10 @@ class FgmresResult:
     residuals: list
 
 
-def _as_apply(obj, n):
+def _as_apply(obj):
     if obj is None:
         return None
-    if isinstance(obj, SparseMatrix):
-        mat = obj.to_scipy()
-        return lambda v: mat @ v
     if isinstance(obj, np.ndarray):
-        return lambda v: obj @ v
-    if sp.issparse(obj):
         return lambda v: obj @ v
     if hasattr(obj, "apply"):
         return obj.apply
@@ -468,39 +448,34 @@ def _as_apply(obj, n):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
-def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> FgmresResult:
-    """Restarted flexible GMRES.
+def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResult:
+    """Restarted flexible GMRES, preconditioned on the right.
 
-    With ``right_pc`` (the default) the Krylov space is built on op o pc and
-    the recurrence residual equals the true residual of the original system;
-    with left preconditioning the residual is measured on the preconditioned
-    system.  The iteration count reported is the number of preconditioned
-    operator applications.  Breakdown of the Arnoldi recurrence (Hessenberg
-    subdiagonal below 1e-14*||b||) is treated as lucky termination.  A
-    rotated Hessenberg column that is exactly zero means the operator is
-    singular on the Krylov space, and raises NonConvergenceError.
+    The Krylov space is built on op o pc, and the preconditioned directions
+    are kept, so that ``pc`` may change from one iteration to the next
+    (Saad, SISC 14 (1993)); the recurrence residual equals the true residual
+    of the original system.  ``op`` and ``pc`` are objects with an ``apply``
+    method, callables or dense arrays.  The iteration count reported is the
+    number of preconditioned operator applications.  Breakdown of the
+    Arnoldi recurrence (Hessenberg subdiagonal below 1e-14*||b||) ends the
+    solve: it has converged when the residual estimate meets the target, and
+    otherwise the operator is numerically singular on the Krylov space and
+    NonConvergenceError is raised.  A rotated Hessenberg column that is
+    exactly zero raises it too.
     """
     st = settings or KrylovSettings()
     b = np.asarray(b, dtype=float)
     n = len(b)
-    A = _as_apply(op, n)
-    P = _as_apply(pc, n)
+    A = _as_apply(op)
+    P = _as_apply(pc)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
 
-    left = P is not None and not st.right_pc
-    rhs = P(b) if left else b
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
-    def residual_of(x):
-        r = b - A(x)
-        return P(r) if left else r
-
-    r = rhs.copy() if x0 is None else residual_of(x)
-    normb = np.linalg.norm(rhs)
+    x = np.zeros(n)
+    r = b
+    normb = float(np.linalg.norm(b))
     target = max(st.rtol * normb, st.atol)
-    residuals = [float(np.linalg.norm(r))]
+    residuals = [normb]
     iterations = 0
     if residuals[0] <= target:
         return FgmresResult(x, 0, residuals)
@@ -525,14 +500,9 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> F
         g = np.zeros(cycle + 1)
         g[0] = beta
         j = -1
-        converged = False
         for j in range(cycle):
-            if left:
-                z = V[j]
-                w = P(A(z))
-            else:
-                z = V[j] if P is None else P(V[j])
-                w = A(z)
+            z = V[j] if P is None else P(V[j])
+            w = A(z)
             Z[j] = z
             iterations += 1
             for i in range(j + 1):
@@ -559,16 +529,24 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> F
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
             residuals.append(abs(float(g[j + 1])))
-            if residuals[-1] <= target or lucky:
-                converged = True
+            if residuals[-1] <= target:
                 break
+            if lucky:
+                # the space is invariant, yet its least-squares residual misses
+                # the target: the pivot d is tiny and x would be garbage
+                raise NonConvergenceError(
+                    f"fgmres: breakdown at iteration {iterations} above the target: "
+                    f"the operator is numerically singular on the Krylov space "
+                    f"(residual {residuals[-1]:.3e}, target {target:.3e})",
+                    residuals,
+                )
         # update x from the least-squares solution of the cycle
         k = j + 1
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
         x = x + Z[:k].T @ y
-        if converged or residuals[-1] <= target:
+        if residuals[-1] <= target:
             return FgmresResult(x, iterations, residuals)
         if iterations >= st.maxit:
             raise NonConvergenceError(
@@ -576,7 +554,7 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None, x0=None) -> F
                 f"(residual {residuals[-1]:.3e}, target {target:.3e})",
                 residuals,
             )
-        r = residual_of(x)
+        r = b - A(x)
 
 
 # ---------------------------------------------------------------------------

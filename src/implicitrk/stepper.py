@@ -291,7 +291,6 @@ class TimeStepper:
         krylov: KrylovSettings | None = None,
         pc_kind: PreconditionerKind | None = None,
         newton: NewtonSettings | None = None,
-        warm_start: bool = False,
     ):
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -328,11 +327,6 @@ class TimeStepper:
         self.krylov = krylov or KrylovSettings()
         self.pc_kind = pc_kind
         self.newton = newton or NewtonSettings()
-        # warm_start seeds the FGMRES solve of a linear system through inexact
-        # factors (or none) with the previous solve's stages; a direct solve
-        # takes no start.  Off by default so repeated runs reproduce bit for bit
-        self.warm_start = warm_start
-        self._last_stages = None
         self._t_base = float(t0)
         self.step_index = 0
         self._dt = float(dt)
@@ -405,7 +399,7 @@ class TimeStepper:
             self._factor_cache[key] = _CachedFactors(self._build(system, kind, Ks))
         return key, self._factor_cache[key]
 
-    def _correction(self, system, kind, Ks, op, rhs, x0=None):
+    def _correction(self, system, kind, Ks, op, rhs):
         """Solve one Newton system ``op`` x = ``rhs`` through cached factors.
 
         The factors are built from the Jacobians ``Ks`` when missing.  A
@@ -425,7 +419,7 @@ class TimeStepper:
         final FGMRES residual (NaN for a direct solve).
         """
         if kind is None:
-            res = fgmres(op, rhs, None, self.krylov, x0=x0)
+            res = fgmres(op, rhs, None, self.krylov)
             return res.x, res.iterations, res.residuals[-1]
         lag = not system.problem.is_linear
         wasted = 0
@@ -434,7 +428,7 @@ class TimeStepper:
             if not lag and entry.factors.exact:
                 return entry.factors.apply(rhs), 1, float("nan")
             try:
-                res = fgmres(op, rhs, entry.factors, self.krylov, x0=x0)
+                res = fgmres(op, rhs, entry.factors, self.krylov)
             except NonConvergenceError as exc:
                 if not lag:
                     raise
@@ -498,16 +492,12 @@ class TimeStepper:
                 sop, rhs = constrain_stage_system(op, rhs, problem.dirichlet, svals - X[:, dofs])
             else:
                 sop = ConstrainedStageOperator(op, dofs)
-            last = self._last_stages if linear and self.warm_start else None
-            x0 = (last - X).ravel() if last is not None and last.shape == X.shape else None
-            dx, its, final = self._correction(system, kind, op.Ks, sop, rhs, x0)
+            dx, its, final = self._correction(system, kind, op.Ks, sop, rhs)
             krylov += its
             X = X + dx.reshape(X.shape)
             if len(dofs):
                 X[:, dofs] = svals
             if linear:
-                if self.warm_start:
-                    self._last_stages = X.copy()
                 return X, system.derivatives(X), (1, krylov, final, [])
             # release this iteration's Jacobians and operator before the next
             # ones are built; the lagged preconditioner keeps what it needs

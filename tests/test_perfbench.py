@@ -1,0 +1,55 @@
+"""The benchmark in perfbench/ reaches into the library by name: the traced
+run wraps functions and methods it looks up with getattr, and the workloads
+build problems from the public API.  These tests fail when the library drops
+or renames something the benchmark uses, instead of the benchmark failing
+only when it is next run."""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from implicitrk import problems, tableaux
+from implicitrk.precond import PreconditionerKind
+from implicitrk.problems import StructuredGrid
+from implicitrk.sparsela import fgmres
+from implicitrk.stepper import StageFormulation, TimeStepper
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer"), importlib.import_module("workloads")
+
+
+def test_every_traced_name_resolves(bench):
+    tracer, _ = bench
+    for layer, (modname, names) in tracer.FUNCTIONS.items():
+        mod = importlib.import_module(f"implicitrk.{modname}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{layer}: {modname}.{name}"
+    for layer, (modname, clsname, meth) in tracer.METHODS.items():
+        cls = getattr(importlib.import_module(f"implicitrk.{modname}"), clsname)
+        # the tracer wraps the method where the class defines it
+        assert callable(cls.__dict__.get(meth)), f"{layer}: {clsname}.{meth}"
+    # the traced fgmres finds the preconditioner by its parameter name
+    assert "pc" in inspect.signature(fgmres).parameters
+
+
+def test_allen_cahn_workload_takes_a_step(bench):
+    _, workloads = bench
+    grid = StructuredGrid(2, 8)
+    mms = workloads.decaying_mms(0.1)
+    problem = workloads.allen_cahn_problem(grid, mms)
+    st = TimeStepper(problem, tableaux.radau_iia(3), 1.0 / 8,
+                     formulation=StageFormulation.STAGE_DERIVATIVE_IA,
+                     pc_kind=PreconditionerKind.RANA_LD,
+                     u0=problems.interpolate(grid, mms.u, 0.0))
+    u, report = st.step(problem)
+    assert report.newton_iters >= 1 and report.krylov_iters >= 1
+    # as close to the exact solution as the grid's own interpolant is
+    best = problems.l2_error(grid, problems.interpolate(grid, mms.u, st.t), mms.u, st.t)
+    assert problems.l2_error(grid, u, mms.u, st.t) < 2 * best

@@ -216,9 +216,10 @@ class TestExactness:
 
 
 class TestPcSides:
-    def test_upper_kinds_work_under_left_preconditioning(self):
+    def test_lower_and_upper_kinds_converge(self):
         # lower kinds pair naturally with left preconditioning, upper kinds
-        # with right; both sides must converge with either family
+        # with right; FGMRES preconditions on the right, and both families
+        # must converge there
         m = 8
         M, K = spd_pair(m, 100)
         tab = radau_iia(3)
@@ -230,13 +231,9 @@ class TestPcSides:
         for kind in (PreconditionerKind.BLOCK_UPPER, PreconditionerKind.RANA_DU,
                      PreconditionerKind.BLOCK_LOWER, PreconditionerKind.RANA_LD):
             pc = build_preconditioner(kind, tab, M, K, dt, Splitting.IA)
-            for right in (True, False):
-                res = fgmres(
-                    op, b, pc,
-                    KrylovSettings(rtol=1e-10, right_pc=right, maxit=200),
-                )
-                err = np.linalg.norm(op.apply(res.x) - b)
-                assert err <= 1e-8 * np.linalg.norm(b), f"{kind} right={right}"
+            res = fgmres(op, b, pc, KrylovSettings(rtol=1e-10, maxit=200))
+            err = np.linalg.norm(op.apply(res.x) - b)
+            assert err <= 1e-8 * np.linalg.norm(b), kind
 
 
 class TestValidation:
