@@ -100,7 +100,14 @@ def assemble_heat(grid: StructuredGrid):
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """Exact solution with matching time derivative, gradient, and forcing
-    f = u_t - laplace(u)."""
+    f = u_t - laplace(u).
+
+    Each callable takes (t, *coordinates) and must broadcast over them:
+    ``assemble_load`` calls ``f`` on the open grid of the 2D quadrature
+    lattice, ``(1, 2N)`` and ``(2N, 1)`` arrays, and needs a scalar or an
+    array broadcasting to ``(2N, 2N)`` back; elsewhere the coordinates are
+    flat arrays of one shape.
+    """
 
     dim: int
     u: Callable
@@ -181,11 +188,18 @@ def _quad_rule(grid):
 @functools.lru_cache(maxsize=4)
 def _load_map(grid: StructuredGrid):
     """Quadrature-to-load matrix Q (npoints x quadrature points) and the
-    quadrature coordinates, one read-only array per direction.
+    quadrature coordinates, read-only arrays that broadcast to the shape of
+    the quadrature points.
 
-    Column q = p * nelem + e is quadrature point p of element e and holds
-    w * phi_j(p) in the row of the element's local vertex j, so each row of
-    Q lists its terms in the order the elementwise loop accumulated them.
+    Q's entries are stored in the order of quadrature point q = p * nelem + e
+    (point p of element e), holding w * phi_j(p) in the row of the element's
+    local vertex j, so each row of Q adds its terms in the order the
+    elementwise loop accumulated them.  In 1D the columns are numbered by q
+    and the coordinates are flat.  In 2D the Gauss points form a 2N x 2N
+    tensor lattice: the coordinates are the open grid x1[None, :] and
+    x1[:, None], with x1[2e + p] the p-th Gauss point of cell e, and the
+    stored column indices are relabelled from q to the lattice's row-major
+    index without moving any entry, so they are no longer sorted.
     """
     elems = _elements(grid)
     nelem, nloc = elems.shape
@@ -198,7 +212,21 @@ def _load_map(grid: StructuredGrid):
         (np.concatenate(vals), (np.tile(elems.ravel(), len(cols)), np.concatenate(cols))),
         shape=(grid.npoints, len(cols) * nelem),
     )
-    xq = tuple(np.concatenate(c) for c in zip(*coords))
+    if grid.dim == 1:
+        xq = tuple(np.concatenate(c) for c in zip(*coords))
+    else:
+        n, h = grid.n, grid.h
+        # the same float operations as _quad_rule's xl + xi * h
+        x1 = np.empty(2 * n)
+        for p, (xi, _) in enumerate(_GAUSS2):
+            x1[p::2] = np.arange(n) * h + xi * h
+        # _quad_rule's point p = 2a + b of cell (ex, ey) sits at lattice
+        # row 2 ey + b, column 2 ex + a
+        a, b, ey, ex = np.unravel_index(np.arange(Q.shape[1]), (2, 2, n, n))
+        lattice = np.ravel_multi_index((2 * ey + b, 2 * ex + a), (2 * n, 2 * n))
+        Q.indices = lattice[Q.indices].astype(Q.indices.dtype)
+        Q.has_sorted_indices = False
+        xq = (x1[None, :], x1[:, None])
     for x in xq:
         x.setflags(write=False)
     return Q, xq
@@ -207,9 +235,24 @@ def _load_map(grid: StructuredGrid):
 def assemble_load(grid: StructuredGrid, f: Callable, t: float) -> np.ndarray:
     """Load vector (f(t, .), phi_j) by elementwise Gauss quadrature, as one
     product of the grid's cached quadrature-to-load matrix with f at the
-    quadrature points."""
+    quadrature points.
+
+    ``f`` is called once, on the coordinates of ``_load_map``: flat arrays
+    in 1D, and in 2D the open grid ``x[None, :]``, ``y[:, None]`` of the
+    2N x 2N Gauss lattice, so a broadcasting forcing evaluates its factors
+    in x and y on 2N points each.  It returns a scalar or an array with one
+    axis per coordinate that broadcasts to the quadrature points, such as
+    an x-only ``(1, 2N)`` result in 2D; any other shape raises ValueError.
+    """
     Q, xq = _load_map(grid)
-    return Q @ np.broadcast_to(np.asarray(f(t, *xq), dtype=float), xq[0].shape)
+    shape = np.broadcast_shapes(*(x.shape for x in xq))
+    F = np.asarray(f(t, *xq), dtype=float)
+    if F.ndim not in (0, len(shape)) or any(d not in (1, n) for d, n in zip(F.shape, shape)):
+        raise ValueError(
+            f"forcing returned shape {F.shape}; expected a scalar or an array "
+            f"broadcasting to the quadrature points' shape {shape}"
+        )
+    return Q @ np.broadcast_to(F, shape).ravel()
 
 
 def l2_error(grid: StructuredGrid, u_h: np.ndarray, u_exact: Callable, t: float) -> float:

@@ -67,10 +67,12 @@ class FormulationError(ValueError):
 
 
 class NonlinearDivergenceError(RuntimeError):
-    """Newton exhausted its iteration budget; carries the residual history."""
+    """Newton failed; carries the residual history and a ``reason``, either
+    "non-finite residual" or "max iterations", which starts the message."""
 
-    def __init__(self, message, residuals):
-        super().__init__(message)
+    def __init__(self, reason, detail, residuals):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
         self.residuals = residuals
 
 
@@ -474,11 +476,14 @@ class TimeStepper:
                 normR = float(np.linalg.norm(R))
                 hist.append(normR)
                 if not np.isfinite(normR):
-                    raise NonlinearDivergenceError("Newton iteration diverged", hist)
+                    raise NonlinearDivergenceError(
+                        "non-finite residual", f"Newton diverged at iteration {it}", hist
+                    )
                 if normR <= max(nt.rtol * hist[0], nt.atol):
                     return X, states[1], (it, krylov, normR, hist)
                 if it == nt.maxit:
                     raise NonlinearDivergenceError(
+                        "max iterations",
                         f"Newton did not converge in {nt.maxit} iterations "
                         f"(residual {normR:.3e})",
                         hist,

@@ -8,6 +8,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from implicitrk import problems, tableaux
@@ -53,3 +54,20 @@ def test_allen_cahn_workload_takes_a_step(bench):
     # as close to the exact solution as the grid's own interpolant is
     best = problems.l2_error(grid, problems.interpolate(grid, mms.u, st.t), mms.u, st.t)
     assert problems.l2_error(grid, u, mms.u, st.t) < 2 * best
+
+
+def test_workload_forcings_meet_the_lattice_contract(bench, flat_load):
+    # a forcing that stops broadcasting over the open-grid coordinates fails
+    # here instead of in the benchmark run
+    _, workloads = bench
+    grid = StructuredGrid(2, 8)
+    mms = workloads.decaying_mms(0.1)
+    _, (x, y) = problems._load_map(grid)
+    assert np.shape(mms.f(0.3, x, y)) == (16, 16)
+    np.testing.assert_array_equal(problems.assemble_load(grid, mms.f, 0.3),
+                                  flat_load(grid, mms.f, 0.3))
+    # the Allen-Cahn forcing is internal to its residual, which is -load at u = u' = 0
+    problem = workloads.allen_cahn_problem(grid, mms)
+    zero = np.zeros(grid.npoints)
+    expect = flat_load(grid, lambda t, *x: mms.f(t, *x) + mms.u(t, *x) ** 3, 0.3)
+    np.testing.assert_array_equal(problem.residual(0.3, zero, zero), -expect)

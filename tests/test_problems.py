@@ -4,6 +4,7 @@ import pytest
 from implicitrk.problems import (
     StructuredGrid,
     _elements,
+    _load_map,
     _quad_rule,
     assemble_heat,
     assemble_load,
@@ -142,6 +143,53 @@ class TestLoad:
             assemble_load(g, lambda t, *x: 1.0, 0.0),
             assemble_load(g, lambda t, *x: np.ones_like(x[0]), 0.0),
         )
+
+    def test_forcing_gets_open_grid_coordinates(self):
+        seen = []
+
+        def f(t, *x):
+            seen.append([a.shape for a in x])
+            return 0.0
+
+        assemble_load(StructuredGrid(2, 5), f, 0.0)
+        assemble_load(StructuredGrid(1, 5), f, 0.0)
+        # 2D: x along the lattice's columns, y along its rows; 1D: flat
+        assert seen == [[(1, 10), (10, 1)], [(10,)]]
+
+    @pytest.mark.parametrize("result, lattice", [
+        (lambda x, y: 2.5, lambda x, y: np.full((x * y).shape, 2.5)),
+        (lambda x, y: np.sin(x), lambda x, y: np.sin(x) * np.ones_like(y)),
+        (lambda x, y: np.cos(y), lambda x, y: np.cos(y) * np.ones_like(x)),
+        # a full lattice in column-major layout
+        (lambda x, y: np.asfortranarray(np.sin(x) * np.cos(y)), lambda x, y: np.sin(x) * np.cos(y)),
+    ], ids=["scalar", "x-only", "y-only", "full"])
+    def test_partial_results_broadcast_to_the_lattice(self, result, lattice):
+        g = StructuredGrid(2, 5)
+        v = assemble_load(g, lambda t, x, y: result(x, y), 0.0)
+        np.testing.assert_array_equal(v, assemble_load(g, lambda t, x, y: lattice(x, y), 0.0))
+        assert np.any(v != 0.0)
+
+    @pytest.mark.parametrize("flat", [
+        lambda x, y: np.cos(y).ravel(),              # (2N,): a flattened y-only result
+        lambda x, y: (np.sin(x) * np.cos(y)).ravel(),  # (4N^2,): the whole lattice, flat
+    ], ids=["2N", "4N^2"])
+    def test_flat_result_raises_with_both_shapes(self, flat):
+        g = StructuredGrid(2, 5)
+        got = flat(*_load_map(g)[1]).shape
+        with pytest.raises(ValueError) as err:
+            assemble_load(g, lambda t, x, y: flat(x, y), 0.0)
+        assert str(got) in str(err.value) and "(10, 10)" in str(err.value)
+
+    @pytest.mark.parametrize("n", [3, 5, 33, 128])
+    @pytest.mark.parametrize("cubic", [False, True], ids=["heat", "cubic"])
+    def test_lattice_load_matches_flat_evaluation(self, flat_load, n, cubic):
+        # the lattice holds the same floats as the flat points and Q's rows
+        # keep their order, so the loads agree bit for bit for every N
+        mms = heat_mms_2d()
+        f = (lambda t, x, y: mms.f(t, x, y) + mms.u(t, x, y) ** 3) if cubic else mms.f
+        g = StructuredGrid(2, n)
+        np.testing.assert_array_equal(assemble_load(g, f, 0.37), flat_load(g, f, 0.37))
+        assert not _load_map(g)[0].has_sorted_indices
 
 
 class TestErrors:

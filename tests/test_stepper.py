@@ -392,6 +392,50 @@ class TestStepNewton:
             with pytest.raises(NonlinearDivergenceError) as err:
                 st.step(case.problem)
         assert len(err.value.residuals) > 5
+        # the named reason agrees with how the history ends
+        res = err.value.residuals
+        assert str(err.value).startswith(err.value.reason + ": ")
+        if err.value.reason == "non-finite residual":
+            assert not np.isfinite(res[-1])
+        else:
+            assert err.value.reason == "max iterations"
+            assert len(res) == 21 and np.all(np.isfinite(res))
+
+    def test_non_finite_residual_is_named(self):
+        # y' = -sqrt(y), y(0) = 1: backward Euler's first Newton correction
+        # takes the stage value below zero once dt > 2
+        p = SemidiscreteProblem(
+            m=1, mass=SparseMatrix.from_dense([[1.0]]),
+            residual=lambda t, u, udot: udot + np.sqrt(u),
+            jacobian_u=lambda t, u: SparseMatrix.from_dense([[0.5 / np.sqrt(u[0])]]),
+            u0=np.ones(1),
+        )
+        st = TimeStepper(p, radau_iia(1), 1.9, krylov=TIGHT)
+        st.step(p)
+        st = TimeStepper(p, radau_iia(1), 2.1, krylov=TIGHT)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonlinearDivergenceError) as err:
+                st.step(p)
+        assert err.value.reason == "non-finite residual"
+        assert str(err.value).startswith("non-finite residual: ")
+        assert err.value.residuals[0] == 1.0 and np.isnan(err.value.residuals[1])
+        assert st.t == 0.0
+
+    def test_exhausted_budget_is_named(self):
+        p = allen_cahn_2d(16)
+        st = TimeStepper(p, radau_iia(3), 1 / 16, formulation=IA,
+                         pc_kind=PreconditionerKind.RANA_LD,
+                         newton=NewtonSettings(maxit=1, rtol=1e-14))
+        with pytest.raises(StepFailure) as err:
+            advance(st, p, 1 / 16)
+        cause = err.value.__cause__
+        assert isinstance(cause, NonlinearDivergenceError)
+        assert cause.reason == "max iterations"
+        assert str(cause).startswith("max iterations: ")
+        # one correction, and the residual it leaves is still above the target
+        assert len(cause.residuals) == 2
+        assert 1e-14 * cause.residuals[0] < cause.residuals[1] < cause.residuals[0]
+        assert "max iterations: " in str(err.value)
 
 
 class TestAdvance:
@@ -435,6 +479,8 @@ class TestAdvance:
                 advance(st, case.problem, 1.0)
         assert 1 <= err.value.completed_steps < 5
         assert len(err.value.reports) == err.value.completed_steps
+        # the step failure names Newton's reason
+        assert f"{err.value.__cause__.reason}: " in str(err.value)
 
     def test_failed_short_step_restores_dt(self):
         p = scalar_problem(1.0)
