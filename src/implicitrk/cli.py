@@ -33,18 +33,11 @@ class ConfigError(ValueError):
     pass
 
 
-_FORMULATIONS = {
-    ("deriv", "ai"): StageFormulation.STAGE_DERIVATIVE_AI,
-    ("deriv", "ia"): StageFormulation.STAGE_DERIVATIVE_IA,
-    ("value", "ai"): StageFormulation.STAGE_VALUE,
-    ("value", "ia"): StageFormulation.STAGE_VALUE,
-    ("dirk", "ai"): StageFormulation.DIRK,
-    ("dirk", "ia"): StageFormulation.DIRK,
-}
-
-
 def _formulation(args) -> StageFormulation:
-    return _FORMULATIONS[(args.stage_type, args.splitting)]
+    # only stage derivatives have a splitting of their own
+    return StageFormulation(
+        f"deriv-{args.splitting}" if args.stage_type == "deriv" else args.stage_type
+    )
 
 
 def _pc_kind(name):
@@ -140,6 +133,7 @@ def cmd_converge(args) -> int:
     krylov = _krylov(args)
     pc = _pc_kind(args.pc)
     formulation = _formulation(args)
+    bc_method = BcMethod(args.bc_method)
     if args.mode == "spatial":
         mms = problems.heat_mms_2d()
         rows = []
@@ -148,8 +142,8 @@ def cmd_converge(args) -> int:
                 grid = problems.StructuredGrid(2, n)
                 problem = problems.mms_heat_problem(grid, mms)
                 stepper = TimeStepper(
-                    problem, tab, args.cfl / n,
-                    formulation=formulation, krylov=krylov, pc_kind=pc,
+                    problem, tab, args.cfl / n, formulation=formulation,
+                    bc_method=bc_method, krylov=krylov, pc_kind=pc,
                 )
                 u, _ = advance(stepper, problem, args.tfinal)
                 l2 = problems.l2_error(grid, u, mms.u, args.tfinal)
@@ -183,7 +177,7 @@ def cmd_converge(args) -> int:
                 problem = problems.mms_heat_problem(grid, mms)
                 stepper = TimeStepper(
                     problem, tab, dt, formulation=formulation,
-                    krylov=krylov, pc_kind=pc,
+                    bc_method=bc_method, krylov=krylov, pc_kind=pc,
                 )
                 u, _ = advance(stepper, problem, args.tfinal)
                 err = problems.l2_error(grid, u, mms.u, args.tfinal)
@@ -288,7 +282,6 @@ def _common_flags(p, tableau_default):
     p.add_argument("--tableau", default=tableau_default, help="FAMILY[:S], e.g. radau-iia:2")
     p.add_argument("--stage-type", choices=["deriv", "value", "dirk"], default="deriv")
     p.add_argument("--splitting", choices=["ai", "ia"], default="ai")
-    p.add_argument("--bc-method", choices=["dae", "ode"], default="dae")
     p.add_argument("--pc", default="rana-ld",
                    choices=["jacobi", "gs-lower", "gs-upper", "rana-ld", "rana-du", "eigen",
                             "none"])
@@ -314,6 +307,7 @@ def build_parser():
     p = sub.add_parser("converge", help="spatial or temporal convergence sweep")
     _common_flags(p, "radau-iia:2")
     p.add_argument("--mode", choices=["spatial", "temporal"], default="spatial")
+    p.add_argument("--bc-method", choices=["dae", "ode"], default="dae")
     p.add_argument("--cfl", type=float, default=4.0, help="spatial mode: dt = cfl/N")
     p.add_argument("--tfinal", type=float, default=1.0)
     p.add_argument("--nx", type=int, default=32, help="temporal heat1d mesh")

@@ -1,21 +1,20 @@
 """Block preconditioners for the stage-coupled system.
 
-Every kind replaces the coupling matrix A with a surrogate and factorizes
-its blocks once:
+Every kind replaces the coupling matrix A with a surrogate Atilde and builds
+the stage operator C1 (x) M + dt * C2 (x) K from ``Splitting.coefficients``
+of Atilde, so it is preconditioned with the stage operator's own rule:
 
-* block diagonal / lower / upper come from the additive split A = L + D + U;
+* block diagonal / lower / upper take the diagonal, lower or upper triangle
+  of A;
 * the Rana kinds take LD or DU from the multiplicative A = L diag(D) U;
 * the eigen kind keeps A itself and decouples its stages by diagonalizing it
   (``EigenPreconditioner``), so it is the exact inverse.
 
-A preconditioner whose surrogate is A itself (the eigen kind, or a triangular
-kind on a triangular tableau) is ``exact``: a linear stage system can be
-solved by one application of it.
-
-For the IA splitting the preconditioner is Atilde^-1 (x) M + dt * I (x) K
-(diagonal block i is (Atilde^-1)_ii M + dt K, off-diagonal coupling through
-mass blocks); for AI it is I (x) M + dt * Atilde (x) K (diagonal block i is
-M + dt Atilde_ii K, coupling through stiffness blocks).
+A triangular surrogate gives diagonal blocks C1_ii M + dt C2_ii K_i, solved
+by one sweep over the stages, backward when Atilde has a nonzero entry above
+its diagonal and forward otherwise.  A preconditioner whose surrogate is A
+itself (the eigen kind, or a triangular kind on a triangular tableau) is
+``exact``: a linear stage system can be solved by one application of it.
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ from enum import Enum
 import numpy as np
 
 from .sparsela import (
-    BlockFactorization,
     FactorizationError,
     SparseMatrix,
     Splitting,
     factorize_block,
 )
-from .tableaux import ButcherTableau, additive_split, ldu_factor
+from .tableaux import ButcherTableau, ldu_factor
 
 
 class PreconditionerKind(Enum):
@@ -41,10 +39,6 @@ class PreconditionerKind(Enum):
     RANA_LD = "rana-ld"
     RANA_DU = "rana-du"
     EIGEN = "eigen"
-
-
-_LOWER_KINDS = (PreconditionerKind.BLOCK_LOWER, PreconditionerKind.RANA_LD)
-_UPPER_KINDS = (PreconditionerKind.BLOCK_UPPER, PreconditionerKind.RANA_DU)
 
 
 # The largest cond(T) of A = T diag(lam) T^-1 the eigen kind accepts: the
@@ -68,11 +62,9 @@ def _surrogate(kind: PreconditionerKind, tab: ButcherTableau) -> np.ndarray:
     if kind is PreconditionerKind.BLOCK_DIAGONAL:
         return np.diag(np.diag(tab.A))
     if kind is PreconditionerKind.BLOCK_LOWER:
-        sp_ = additive_split(tab)
-        return sp_.L_strict + np.diag(sp_.D_diag)
+        return np.tril(tab.A)
     if kind is PreconditionerKind.BLOCK_UPPER:
-        sp_ = additive_split(tab)
-        return np.diag(sp_.D_diag) + sp_.U_strict
+        return np.triu(tab.A)
     fac = ldu_factor(tab)
     if kind is PreconditionerKind.RANA_LD:
         return fac.L @ np.diag(fac.D)
@@ -82,7 +74,9 @@ def _surrogate(kind: PreconditionerKind, tab: ButcherTableau) -> np.ndarray:
 
 
 class StagePreconditioner:
-    """Factorized application of the surrogate stage system's inverse.
+    """Factorized application of the inverse of the triangular surrogate
+    system C1 (x) M + dt * C2 (x) K, with (C1, C2) the coefficients of
+    ``A_tilde``.
 
     Immutable once built; ``apply`` uses only local scratch, so a built
     preconditioner can be shared between concurrent solves.  ``exact`` says
@@ -90,23 +84,33 @@ class StagePreconditioner:
     inverse of the constrained stage operator built from the same M and Ks.
     """
 
-    def __init__(self, kind, A_tilde, A_tilde_inv, block_factors, form, M, Ks, dt, dofs,
-                 exact):
-        self.kind = kind
-        self.exact = exact
+    def __init__(self, A_tilde, C1, C2, M, Ks, dt, dofs, exact):
         self.A_tilde = A_tilde
-        self.A_tilde_inv = A_tilde_inv
-        self.block_factors = block_factors
-        self.form = form
+        self.exact = exact
         self.M = M
         self.Ks = Ks
-        self.dt = dt
         self.dofs = dofs
         self.s = A_tilde.shape[0]
         self.m = M.nrows
         self.n = self.s * self.m
-        # coupling coefficients for the off-diagonal terms
-        self._coef = A_tilde_inv if form is Splitting.IA else dt * A_tilde
+        # block row i's stiffness is Ks[k[i]]
+        k = [i if len(Ks) > 1 else 0 for i in range(self.s)]
+        self.block_factors = [
+            factorize_block(M, Ks[k[i]], C1[i, i], dt * C2[i, i], dofs) for i in range(self.s)
+        ]
+        # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
+        # carries rounding outside it
+        backward = bool(np.triu(A_tilde, 1).any())
+        order = range(self.s - 1, -1, -1) if backward else range(self.s)
+        # (i, [(j, b, coef)]) in sweep order: block row i's nonzero coupling
+        # terms C1_ij M x_j + dt C2_ij K_i x_j, where b indexes [M, *Ks]
+        self._sweep = [
+            (i, [(j, b, c)
+                 for j in (range(i + 1, self.s) if backward else range(i))
+                 for b, c in ((0, C1[i, j]), (1 + k[i], dt * C2[i, j]))
+                 if c != 0.0])
+            for i in order
+        ]
 
     def apply(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -114,61 +118,54 @@ class StagePreconditioner:
             raise ValueError(f"preconditioner expects length {self.n}, got {r.shape}")
         R = r.reshape(self.s, self.m)
         X = np.zeros_like(R)
-        if self.kind is PreconditionerKind.BLOCK_DIAGONAL:
-            order, deps = range(self.s), lambda i: ()
-        elif self.kind in _LOWER_KINDS:
-            order, deps = range(self.s), lambda i: range(i)
-        else:
-            order, deps = range(self.s - 1, -1, -1), lambda i: range(i + 1, self.s)
-        # (coupling matrix, j) -> its product with masked X[j], formed once:
+        mats = [self.M, *self.Ks]
+        # (b, j) -> the product of [M, *Ks][b] with masked X[j], formed once:
         # the IA mass coupling is the same for every row i
         products = {}
-        for i in order:
+        for i, terms in self._sweep:
             acc = R[i].copy()
-            # IA couples stages through the mass matrix, AI through row i's stiffness
-            B = self.M if self.form is Splitting.IA else self.Ks[i if len(self.Ks) > 1 else 0]
-            for j in deps(i):
-                if self._coef[i, j] != 0.0:
-                    if (id(B), j) not in products:
-                        xj = X[j].copy()
-                        xj[self.dofs] = 0.0
-                        products[id(B), j] = B.to_scipy() @ xj
-                    c = self._coef[i, j] * products[id(B), j]
-                    c[self.dofs] = 0.0
-                    acc -= c
+            for j, b, coef in terms:
+                if (b, j) not in products:
+                    xj = X[j].copy()
+                    xj[self.dofs] = 0.0
+                    products[b, j] = mats[b].to_scipy() @ xj
+                c = coef * products[b, j]
+                c[self.dofs] = 0.0
+                acc -= c
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()
 
 
-class EigenPreconditioner(StagePreconditioner):
+class EigenPreconditioner:
     """Exact inverse of the constrained stage operator of a diagonalizable A
     (Butcher, BIT 16 (1976); Southworth, Krzysik, Pazner & De Sterck, SISC
     2022).
 
     With A = T diag(lam) T^-1 the operator is (T (x) I) diag(B_k) (T^-1 (x) I),
-    with blocks B_k = M/lam_k + dt K (IA form, A^-1 = T diag(1/lam) T^-1) or
-    M + dt lam_k K (AI form).  The Dirichlet mask I (x) P commutes with
-    T (x) I, so the constrained operator's blocks are the constrained B_k.  A
-    real right-hand side has conjugate components on a conjugate pair, so one
-    complex block per pair is solved and its term doubled in the real part.
+    where B_k is the one-stage operator of the coupling matrix [[lam_k]]:
+    M/lam_k + dt K in IA form, M + dt lam_k K in AI form.  The Dirichlet mask
+    I (x) P commutes with T (x) I, so the constrained operator's blocks are
+    the constrained B_k.  A real right-hand side has conjugate components on
+    a conjugate pair, so one complex block per pair is solved and its term
+    doubled in the real part.
     """
 
-    def __init__(self, A, A_inv, form, M, K, dt, dofs):
+    exact = True
+
+    def __init__(self, A, form, M, K, dt, dofs):
         lam, T, cond = butcher_eigenbasis(A)
         if not cond <= EIGEN_COND_MAX:
             raise FactorizationError(
                 f"eigen preconditioning needs cond(T) <= {EIGEN_COND_MAX:g}, got {cond:.3g}"
             )
         keep = lam.imag >= 0.0
-        factors = []
+        self.block_factors = []
         for lk in lam[keep]:
-            lk = lk.real if lk.imag == 0.0 else lk
-            if form is Splitting.IA:
-                factors.append(factorize_block(M, K, 1.0 / lk, dt, dofs))
-            else:
-                factors.append(factorize_block(M, K, 1.0, dt * lk, dofs))
-        super().__init__(PreconditionerKind.EIGEN, A, A_inv, factors, form, M, [K], dt, dofs,
-                         exact=True)
+            C1, C2 = form.coefficients([[lk.real if lk.imag == 0.0 else lk]])
+            self.block_factors.append(factorize_block(M, K, C1[0, 0], dt * C2[0, 0], dofs))
+        self.s = A.shape[0]
+        self.m = M.nrows
+        self.n = self.s * self.m
         self._T_inv = np.linalg.inv(T)[keep]
         self._T = T[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
 
@@ -192,20 +189,20 @@ def build_preconditioner(
     dt: float,
     form: Splitting = Splitting.IA,
     dirichlet=None,
-) -> StagePreconditioner:
+) -> StagePreconditioner | EigenPreconditioner:
     """Build a stage preconditioner with its diagonal blocks factorized once.
 
     ``K`` may be a single stiffness matrix or a per-stage list of Jacobian
-    blocks (the nonlinear case); block i then uses K_i in place of K while
-    the off-diagonal mass coupling is unchanged.  ``dirichlet`` lists
-    constrained spatial dofs; the blocks receive the same identity-row/column
-    treatment as the constrained operator.
+    blocks (the nonlinear case); block row i then uses K_i in place of K.
+    ``dirichlet`` lists constrained spatial dofs; the blocks receive the same
+    identity-row/column treatment as the constrained operator.
     """
     Ks = list(K) if isinstance(K, (list, tuple)) else [K]
     dofs = np.asarray(dirichlet if dirichlet is not None else [], dtype=np.int64)
     A_tilde = _surrogate(kind, tab)
     try:
-        A_tilde_inv = np.linalg.inv(A_tilde)
+        # a singular surrogate is refused in either form
+        np.linalg.inv(A_tilde)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"{kind.value} surrogate of {tab.name!r} is singular"
@@ -217,13 +214,6 @@ def build_preconditioner(
     if kind is PreconditionerKind.EIGEN:
         if len(Ks) != 1:
             raise ValueError("eigen preconditioning needs one stiffness shared by all stages")
-        return EigenPreconditioner(A_tilde, A_tilde_inv, form, M, Ks[0], dt, dofs)
-    factors = []
-    for i in range(tab.s):
-        Ki = Ks[0] if len(Ks) == 1 else Ks[i]
-        if form is Splitting.IA:
-            factors.append(factorize_block(M, Ki, A_tilde_inv[i, i], dt, dofs))
-        else:
-            factors.append(factorize_block(M, Ki, 1.0, dt * A_tilde[i, i], dofs))
-    return StagePreconditioner(kind, A_tilde, A_tilde_inv, factors, form, M, Ks, dt, dofs,
+        return EigenPreconditioner(A_tilde, form, M, Ks[0], dt, dofs)
+    return StagePreconditioner(A_tilde, *form.coefficients(A_tilde), M, Ks, dt, dofs,
                                exact=np.array_equal(A_tilde, tab.A))

@@ -32,7 +32,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class Splitting(Enum):
-    """Kronecker factorization of the stage system.
+    """Kronecker factorization of the stage system C1 (x) M + dt * C2 (x) K.
 
     AI: I (x) M + dt * A (x) K acting on stage derivatives k.
     IA: A^-1 (x) M + dt * I (x) K acting on w = (A (x) I) k.
@@ -40,6 +40,14 @@ class Splitting(Enum):
 
     AI = "ai"
     IA = "ia"
+
+    def coefficients(self, A):
+        """(C1, C2) of the real or complex coupling matrix A, as above: the
+        stage system's A, a preconditioner's surrogate of it, or an eigenvalue
+        [[lam_k]].  A singular A raises LinAlgError in the IA form."""
+        A = np.asarray(A)
+        eye = np.eye(A.shape[0])
+        return (eye, A) if self is Splitting.AI else (np.linalg.inv(A), eye)
 
 
 class SparseMatrix:

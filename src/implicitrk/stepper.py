@@ -67,8 +67,10 @@ class FormulationError(ValueError):
 
 
 class NonlinearDivergenceError(RuntimeError):
-    """Newton failed; carries the residual history and a ``reason``, either
-    "non-finite residual" or "max iterations", which starts the message."""
+    """Newton failed; carries the residual history and a ``reason``, which
+    starts the message: "non-finite residual", "stalled residual" (none of
+    the last 5 residuals fell below the smallest one before them) or
+    "max iterations"."""
 
     def __init__(self, reason, detail, residuals):
         super().__init__(f"{reason}: {detail}")
@@ -100,11 +102,22 @@ _UNKNOWN = {
 }
 
 
+# Newton stops as stalled once this many residuals in a row stay at or above
+# the smallest residual before them
+_STALL_WINDOW = 5
+
+
 @dataclass
 class NewtonSettings:
     rtol: float = 1e-10
     atol: float = 1e-12
     maxit: int = 50
+
+    def __post_init__(self):
+        if not (self.rtol > 0 and self.atol > 0):
+            raise ValueError("rtol and atol must be positive")
+        if self.maxit < 0:
+            raise ValueError("maxit must be >= 0")
 
 
 @dataclass
@@ -208,18 +221,11 @@ class StageSystem:
         self.s = self.A.shape[0]
         bc = problem.dirichlet
         self.dofs = bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
-        if unknown is StageUnknown.DERIVATIVE:
-            self.C1, self.C2 = np.eye(self.s), self.A
-            self.splitting = Splitting.AI
-        else:
-            try:
-                self.C1 = np.linalg.inv(self.A)
-            except np.linalg.LinAlgError as exc:
-                raise FormulationError(
-                    f"{unknown.value} unknowns need an invertible A"
-                ) from exc
-            self.C2 = np.eye(self.s)
-            self.splitting = Splitting.IA
+        self.splitting = Splitting.AI if unknown is StageUnknown.DERIVATIVE else Splitting.IA
+        try:
+            self.C1, self.C2 = self.splitting.coefficients(self.A)
+        except np.linalg.LinAlgError as exc:
+            raise FormulationError(f"{unknown.value} unknowns need an invertible A") from exc
         self.scale = dt if unknown is StageUnknown.VALUE else 1.0
 
     def start(self) -> np.ndarray:
@@ -481,6 +487,14 @@ class TimeStepper:
                     )
                 if normR <= max(nt.rtol * hist[0], nt.atol):
                     return X, states[1], (it, krylov, normR, hist)
+                best = min(hist[:-_STALL_WINDOW], default=np.inf)
+                if min(hist[-_STALL_WINDOW:]) >= best:
+                    raise NonlinearDivergenceError(
+                        "stalled residual",
+                        f"no residual of Newton iterations {it - _STALL_WINDOW + 1}..{it} "
+                        f"fell below {best:.3e}",
+                        hist,
+                    )
                 if it == nt.maxit:
                     raise NonlinearDivergenceError(
                         "max iterations",

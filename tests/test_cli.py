@@ -63,6 +63,13 @@ class TestBcCompare:
         main(["bc-compare", "--out", str(b)])
         assert (a / "daenorm.csv").read_bytes() == (b / "daenorm.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["bc-compare", "precond-bench"])
+    def test_bc_method_is_refused(self, command, tmp_path):
+        # bc-compare always runs both methods, precond-bench always the DAE one
+        with pytest.raises(SystemExit) as err:
+            main([command, "--bc-method", "ode", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+
     def test_csv_uses_unix_line_ends_and_dot_decimals(self, outputs):
         raw = (outputs / "daenorm.csv").read_bytes()
         assert b"\r" not in raw
@@ -70,6 +77,18 @@ class TestBcCompare:
 
 
 class TestConverge:
+    def test_bc_method_reaches_the_stepper(self, tmp_path):
+        l2 = {}
+        for method in (None, "ode"):
+            out = tmp_path / f"{method}.csv"
+            flag = ["--bc-method", method] if method else []
+            rc = main(["converge", "--mode", "spatial", "--n-list", "8", *flag,
+                       "--out", str(out)])
+            assert rc == 0
+            l2[method] = float(read_csv(out)[1][0][1])
+        assert l2[None] == pytest.approx(9.901480e-3, rel=1e-6)
+        assert l2["ode"] == pytest.approx(9.901373e-3, rel=1e-6)
+
     def test_temporal_dahlquist_radau3(self, tmp_path):
         out = tmp_path / "temporal.csv"
         rc = main([

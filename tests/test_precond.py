@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from implicitrk.precond import (
     EIGEN_COND_MAX,
@@ -14,11 +15,11 @@ from implicitrk.sparsela import (
     KrylovSettings,
     SparseMatrix,
     Splitting,
-    dirichlet_constrain,
     fgmres,
 )
 from implicitrk.tableaux import (
     ButcherTableau,
+    SingularFactorizationError,
     alexander_dirk,
     ldu_factor,
     lobatto_iiic,
@@ -38,27 +39,16 @@ def spd_pair(m, seed):
     return SparseMatrix.from_dense(M), SparseMatrix.from_dense(K)
 
 
-def dense_pc_matrix(pc):
-    """Assembled surrogate system the preconditioner represents."""
-    Md = pc.M.to_dense()
-    m = pc.m
-    s = pc.s
-    out = np.zeros((s * m, s * m))
-    for i in range(s):
-        for j in range(s):
-            blk = np.zeros((m, m))
-            if pc.form is Splitting.IA:
-                blk += pc.A_tilde_inv[i, j] * Md
-                if i == j:
-                    Kd = (pc.Ks[0] if len(pc.Ks) == 1 else pc.Ks[i]).to_dense()
-                    blk += pc.dt * Kd
-            else:
-                if i == j:
-                    blk += Md
-                Kd = (pc.Ks[0] if len(pc.Ks) == 1 else pc.Ks[i]).to_dense()
-                blk += pc.dt * pc.A_tilde[i, j] * Kd
-            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = blk
-    return out
+def dense_pc_matrix(A_tilde, form, M, Ks, dt, dofs=()):
+    """Assembled surrogate system a preconditioner with surrogate A_tilde
+    represents: the stage operator of A_tilde, with identity rows and columns
+    on the Dirichlet dofs of every stage."""
+    dense = KroneckerStageOperator(*form.coefficients(A_tilde), M, Ks, dt).to_dense()
+    idx = (np.arange(len(A_tilde))[:, None] * M.nrows + np.asarray(dofs, int)[None, :]).ravel()
+    dense[idx, :] = 0.0
+    dense[:, idx] = 0.0
+    dense[idx, idx] = 1.0
+    return dense
 
 
 class TestSurrogates:
@@ -123,7 +113,8 @@ class TestApply:
         M, K = spd_pair(m, tab.s)
         dt = 0.12
         pc = build_preconditioner(kind, tab, M, K, dt, form)
-        dense = dense_pc_matrix(pc)
+        A_tilde = tab.A if kind is PreconditionerKind.EIGEN else pc.A_tilde
+        dense = dense_pc_matrix(A_tilde, form, M, [K], dt)
         rng = np.random.default_rng(tab.s + 17)
         r = rng.standard_normal(tab.s * m)
         x = pc.apply(r)
@@ -148,9 +139,8 @@ class TestApply:
         )
         rng = np.random.default_rng(5)
         r = rng.standard_normal(6)
-        np.testing.assert_allclose(
-            pc.apply(r), np.linalg.solve(dense_pc_matrix(pc), r), atol=1e-10
-        )
+        dense = dense_pc_matrix(pc.A_tilde, Splitting.IA, M, [K], 0.25)
+        np.testing.assert_allclose(pc.apply(r), np.linalg.solve(dense, r), atol=1e-10)
 
     def test_per_stage_jacobian_blocks(self):
         m = 5
@@ -161,7 +151,7 @@ class TestApply:
             pc = build_preconditioner(
                 PreconditionerKind.RANA_LD, tab, M, Ks, 0.1, form
             )
-            dense = dense_pc_matrix(pc)
+            dense = dense_pc_matrix(pc.A_tilde, form, M, Ks, 0.1)
             r = np.random.default_rng(7).standard_normal(3 * m)
             np.testing.assert_allclose(
                 pc.apply(r), np.linalg.solve(dense, r), atol=1e-10
@@ -272,23 +262,7 @@ class TestConstrained:
                          PreconditionerKind.BLOCK_UPPER):
                 pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
                 # dense surrogate with the same row/column treatment
-                Mc = dirichlet_constrain(M, dofs, 0.0).to_dense()
-                Kc = dirichlet_constrain(K, dofs, 0.0).to_dense()
-                dense = np.zeros((2 * m, 2 * m))
-                for i in range(2):
-                    for j in range(2):
-                        blk = np.zeros((m, m))
-                        if form is Splitting.IA:
-                            blk += pc.A_tilde_inv[i, j] * Mc
-                            if i == j:
-                                blk += dt * Kc
-                        else:
-                            if i == j:
-                                blk += Mc
-                            blk += dt * pc.A_tilde[i, j] * Kc
-                        if i == j:
-                            blk[dofs, dofs] = 1.0
-                        dense[i * m : (i + 1) * m, j * m : (j + 1) * m] = blk
+                dense = dense_pc_matrix(pc.A_tilde, form, M, [K], dt, dofs)
                 r = np.random.default_rng(11).standard_normal(2 * m)
                 np.testing.assert_allclose(
                     pc.apply(r), np.linalg.solve(dense, r), atol=1e-10,
@@ -355,13 +329,7 @@ class TestEigen:
         m, s_, dt = M.nrows, tab.s, 0.05
         pc = build_preconditioner(PreconditionerKind.EIGEN, tab, M, K, dt, form, dofs)
         assert pc.exact
-        C1, C2 = ((np.linalg.inv(tab.A), np.eye(s_)) if form is Splitting.IA
-                  else (np.eye(s_), tab.A))
-        dense = KroneckerStageOperator(C1, C2, M, [K], dt).to_dense()
-        idx = (np.arange(s_)[:, None] * m + dofs[None, :]).ravel()
-        dense[idx, :] = 0.0
-        dense[:, idx] = 0.0
-        dense[idx, idx] = 1.0
+        dense = dense_pc_matrix(tab.A, form, M, [K], dt, dofs)
         r = np.random.default_rng(s_).standard_normal(s_ * m)
         ref = np.linalg.solve(dense, r)
         assert np.linalg.norm(pc.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -386,3 +354,60 @@ class TestEigen:
                                  Splitting.AI)
         with pytest.raises(ValueError):
             build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, [K, K], 0.1)
+
+
+def _random_spd(rng, m):
+    B = rng.standard_normal((m, m))
+    return B @ B.T + m * np.eye(m)
+
+
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=8),
+    shape=st.sampled_from(["lower", "upper", "full"]),
+    per_stage=st.booleans(),
+    dt=st.floats(min_value=0.01, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_apply_matches_dense_constrained_surrogate(kind, form, s, m, shape, per_stage, dt,
+                                                   seed, data):
+    # Oracle: the stage operator of the surrogate, C1 (x) M + dt C2 (x) K_i with
+    # (C1, C2) the coefficients of Atilde, assembled densely with identity rows
+    # and columns on the Dirichlet dofs, and solved densely
+    rng = np.random.default_rng(seed)
+    A = np.diag(rng.uniform(0.1, 1.5, s) * rng.choice([-1.0, 1.0], s))
+    off = rng.uniform(-1.0, 1.0, (s, s))
+    if shape != "upper":
+        A += np.tril(off, -1)
+    if shape != "lower":
+        A += np.triu(off, 1)
+    tab = ButcherTableau(A, np.full(s, 1.0 / s), A.sum(axis=1), 1, 1, "random")
+    assume(form is Splitting.AI or tab.invertible)
+    if kind is PreconditionerKind.EIGEN:
+        assume(not per_stage and butcher_eigenbasis(A)[2] <= EIGEN_COND_MAX)
+        A_tilde = A
+    elif kind in (PreconditionerKind.RANA_LD, PreconditionerKind.RANA_DU):
+        try:
+            fac = ldu_factor(tab)
+        except SingularFactorizationError:
+            assume(False)
+        A_tilde = (fac.L @ np.diag(fac.D) if kind is PreconditionerKind.RANA_LD
+                   else np.diag(fac.D) @ fac.U)
+    else:
+        A_tilde = {PreconditionerKind.BLOCK_DIAGONAL: np.diag(np.diag(A)),
+                   PreconditionerKind.BLOCK_LOWER: np.tril(A),
+                   PreconditionerKind.BLOCK_UPPER: np.triu(A)}[kind]
+    M = SparseMatrix.from_dense(_random_spd(rng, m))
+    Ks = [SparseMatrix.from_dense(_random_spd(rng, m) / m) for _ in range(s if per_stage else 1)]
+    dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))),
+                    dtype=np.int64)
+    dense = dense_pc_matrix(A_tilde, form, M, Ks, dt, dofs)
+    pc = build_preconditioner(kind, tab, M, Ks if per_stage else Ks[0], dt, form, dofs)
+    assert pc.exact == np.array_equal(A_tilde, A)
+    r = rng.standard_normal(s * m)
+    ref = np.linalg.solve(dense, r)
+    assert np.linalg.norm(pc.apply(r) - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -392,14 +392,14 @@ class TestStepNewton:
             with pytest.raises(NonlinearDivergenceError) as err:
                 st.step(case.problem)
         assert len(err.value.residuals) > 5
-        # the named reason agrees with how the history ends
+        # the named reason agrees with how the history ends: after the first
+        # correction no residual falls below its own, so Newton stops as
+        # stalled five residuals later rather than spending all 20 iterations
         res = err.value.residuals
         assert str(err.value).startswith(err.value.reason + ": ")
-        if err.value.reason == "non-finite residual":
-            assert not np.isfinite(res[-1])
-        else:
-            assert err.value.reason == "max iterations"
-            assert len(res) == 21 and np.all(np.isfinite(res))
+        assert err.value.reason == "stalled residual"
+        assert len(res) == 7 and np.all(np.isfinite(res))
+        assert min(res[-5:]) >= min(res[:-5]) == res[1]
 
     def test_non_finite_residual_is_named(self):
         # y' = -sqrt(y), y(0) = 1: backward Euler's first Newton correction
@@ -420,6 +420,24 @@ class TestStepNewton:
         assert str(err.value).startswith("non-finite residual: ")
         assert err.value.residuals[0] == 1.0 and np.isnan(err.value.residuals[1])
         assert st.t == 0.0
+
+    def test_stall_needs_five_residuals_without_progress(self):
+        # the Riccati stage equation without a real root, from a budget that
+        # ends one residual before the stall shows
+        case = riccati()
+        st = TimeStepper(case.problem, radau_iia(1), 0.3, krylov=TIGHT,
+                         newton=NewtonSettings(maxit=5))
+        with pytest.raises(NonlinearDivergenceError) as err:
+            st.step(case.problem)
+        assert err.value.reason == "max iterations"
+        assert len(err.value.residuals) == 6
+
+    @pytest.mark.parametrize("settings", [dict(maxit=-1), dict(rtol=0.0), dict(atol=-1e-12),
+                                          dict(rtol=float("nan"))],
+                             ids=["maxit", "rtol", "atol", "nan-rtol"])
+    def test_newton_settings_are_validated(self, settings):
+        with pytest.raises(ValueError):
+            NewtonSettings(**settings)
 
     def test_exhausted_budget_is_named(self):
         p = allen_cahn_2d(16)
