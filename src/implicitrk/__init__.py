@@ -3,7 +3,7 @@ semidiscrete PDEs, with matrix-free Kronecker stage operators, FGMRES, and
 the block preconditioner family that makes fully implicit stage counts
 practical."""
 
-from .bcs import BcMethod, DirichletBC, StageUnknown, constrain_stage_system, stage_bc_values
+from .bcs import BcMethod, DirichletBC, constrain_stage_system, stage_bc_values
 from .precond import PreconditionerKind, StagePreconditioner, build_preconditioner
 from .problems import (
     ManufacturedSolution,

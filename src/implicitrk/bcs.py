@@ -18,22 +18,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparsela import KroneckerStageOperator
+from .sparsela import KroneckerStageOperator, Splitting
 from .tableaux import ButcherTableau
 
 
 class BcMethod(Enum):
     DAE = "dae"
     ODE = "ode"
-
-
-class StageUnknown(Enum):
-    """What the stage solve is solving for: derivatives k, Butcher variables
-    w = (A (x) I) k, or stage values Y = u_n + dt*w."""
-
-    DERIVATIVE = "derivative"
-    W = "w"
-    VALUE = "value"
 
 
 @dataclass
@@ -53,6 +44,8 @@ class DirichletBC:
         self.dofs = np.asarray(self.dofs, dtype=np.int64)
         if len(self.dofs) and self.dofs.min() < 0:
             raise ValueError("negative dof index in DirichletBC")
+        if len(np.unique(self.dofs)) != len(self.dofs):
+            raise ValueError("duplicate dof index in DirichletBC")
 
 
 def stage_bc_values(
@@ -62,22 +55,21 @@ def stage_bc_values(
     u_n: np.ndarray,
     t: float,
     dt: float,
-    unknown: StageUnknown = StageUnknown.DERIVATIVE,
+    form: Splitting = Splitting.AI,
 ) -> np.ndarray:
-    """Boundary values of the stage unknowns, shape (s, len(bc.dofs)).
+    """Boundary values of the stage unknowns, shape (s, len(bc.dofs)): the
+    stage derivatives k under the AI splitting, the Butcher variables
+    w = (A (x) I) k under IA.
 
-    Under DAE the derivative form needs one dense solve with A (A must be
-    invertible); the w and value forms read off directly.  Under ODE the
-    derivative values are g' at the stage times, and the w/value forms are
-    obtained by mapping through w = A k and Y = u_n + dt*w.
+    Under DAE w reads off the data, w_i = (g(t + c_i dt) - u_n) / dt, and k
+    needs one dense solve with A (A must be invertible).  Under ODE k is g' at
+    the stage times, and w = A k.
     """
     ub = np.asarray(u_n, dtype=float)[bc.dofs]
-    G = np.array([np.broadcast_to(bc.g(t + ci * dt), ub.shape) for ci in tab.c])
     if method is BcMethod.DAE:
-        if unknown is StageUnknown.VALUE:
-            return G
+        G = np.array([np.broadcast_to(bc.g(t + ci * dt), ub.shape) for ci in tab.c])
         W = (G - ub[None, :]) / dt
-        if unknown is StageUnknown.W:
+        if form is Splitting.IA:
             return W
         if not tab.invertible:
             raise ValueError(
@@ -87,13 +79,8 @@ def stage_bc_values(
         return np.linalg.solve(tab.A, W)
     if bc.g_dot is None:
         raise ValueError("ODE boundary conditions require g_dot")
-    Gd = np.array([np.broadcast_to(bc.g_dot(t + ci * dt), ub.shape) for ci in tab.c])
-    if unknown is StageUnknown.DERIVATIVE:
-        return Gd
-    W = tab.A @ Gd
-    if unknown is StageUnknown.W:
-        return W
-    return ub[None, :] + dt * W
+    Kd = np.array([np.broadcast_to(bc.g_dot(t + ci * dt), ub.shape) for ci in tab.c])
+    return Kd if form is Splitting.AI else tab.A @ Kd
 
 
 class ConstrainedStageOperator:

@@ -161,7 +161,7 @@ def cmd_converge(args) -> int:
     }
     rows = []
     errs = []
-    for dt in args.dt_list:
+    for k, dt in enumerate(args.dt_list):
         try:
             if args.problem in ode:
                 case = ode[args.problem]()
@@ -185,7 +185,7 @@ def cmd_converge(args) -> int:
                 raise ConfigError(f"unknown temporal problem {args.problem!r}")
             errs.append(err)
             order = (
-                f"{np.log2(errs[-2] / err):.5g}"
+                f"{np.log(errs[-2] / err) / np.log(args.dt_list[k - 1] / dt):.5g}"
                 if len(errs) > 1 and err > 0 and errs[-2] > 0
                 else None
             )
@@ -278,8 +278,7 @@ def cmd_precond_bench(args) -> int:
 # parser
 
 
-def _common_flags(p, tableau_default):
-    p.add_argument("--tableau", default=tableau_default, help="FAMILY[:S], e.g. radau-iia:2")
+def _common_flags(p):
     p.add_argument("--stage-type", choices=["deriv", "value", "dirk"], default="deriv")
     p.add_argument("--splitting", choices=["ai", "ia"], default="ai")
     p.add_argument("--pc", default="rana-ld",
@@ -298,14 +297,16 @@ def build_parser():
     p.set_defaults(fn=cmd_tableau)
 
     p = sub.add_parser("bc-compare", help="DAE vs ODE boundary enforcement norms")
-    _common_flags(p, "lobatto-iiic:3")
+    _common_flags(p)
+    p.add_argument("--tableau", default="lobatto-iiic:3", help="FAMILY[:S], e.g. radau-iia:2")
     p.add_argument("--nx", type=int, default=10)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--tfinal", type=float, default=0.5)
     p.set_defaults(fn=cmd_bc_compare, out="bc-compare")
 
     p = sub.add_parser("converge", help="spatial or temporal convergence sweep")
-    _common_flags(p, "radau-iia:2")
+    _common_flags(p)
+    p.add_argument("--tableau", default="radau-iia:2", help="FAMILY[:S], e.g. radau-iia:2")
     p.add_argument("--mode", choices=["spatial", "temporal"], default="spatial")
     p.add_argument("--bc-method", choices=["dae", "ode"], default="dae")
     p.add_argument("--cfl", type=float, default=4.0, help="spatial mode: dt = cfl/N")
@@ -318,7 +319,7 @@ def build_parser():
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("precond-bench", help="FGMRES iterations vs stage count")
-    _common_flags(p, "radau-iia:2")
+    _common_flags(p)
     p.set_defaults(splitting="ia")
     p.add_argument("--nx", type=int, default=64)
     p.add_argument("--dt", type=float, default=None, help="defaults to 1/nx")

@@ -373,20 +373,25 @@ class KroneckerStageOperator:
         self.m = m
         self.n = s * m
 
+    def _product(self, M, Ks, V) -> np.ndarray:
+        """(C1 (x) M + dt * C2 (x) K) V for V of shape (s, n), with M and the
+        shared or per-stage Ks given as n-column matrices; shape (s, m)."""
+        U1 = self.C1 @ V
+        U2 = self.C2 @ V
+        out = (M @ U1.T).T
+        if len(Ks) == 1:
+            out = out + self.dt * (Ks[0] @ U2.T).T
+        else:
+            for i in range(self.s):
+                out[i] += self.dt * (Ks[i] @ U2[i])
+        return out
+
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"operator expects length {self.n}, got {v.shape}")
-        V = v.reshape(self.s, self.m)
-        U1 = self.C1 @ V
-        U2 = self.C2 @ V
-        out = (self.M.to_scipy() @ U1.T).T
-        if len(self.Ks) == 1:
-            out = out + self.dt * (self.Ks[0].to_scipy() @ U2.T).T
-        else:
-            for i in range(self.s):
-                out[i] += self.dt * (self.Ks[i].to_scipy() @ U2[i])
-        return out.ravel()
+        Ks = [K.to_scipy() for K in self.Ks]
+        return self._product(self.M.to_scipy(), Ks, v.reshape(self.s, self.m)).ravel()
 
     def apply_columns(self, cols, G) -> np.ndarray:
         """The action on a stage vector that is G, shape (s, len(cols)), on
@@ -394,15 +399,7 @@ class KroneckerStageOperator:
         (C1 (x) M[:, cols] + dt * C2 (x) K[:, cols]) G, of shape (s, m).  It
         reads only those columns of M and K, which ``SparseMatrix.columns``
         keeps, so a thin boundary costs a thin product."""
-        G1 = self.C1 @ G
-        G2 = self.C2 @ G
-        out = (self.M.columns(cols) @ G1.T).T
-        if len(self.Ks) == 1:
-            out = out + self.dt * (self.Ks[0].columns(cols) @ G2.T).T
-        else:
-            for i in range(self.s):
-                out[i] += self.dt * (self.Ks[i].columns(cols) @ G2[i])
-        return out
+        return self._product(self.M.columns(cols), [K.columns(cols) for K in self.Ks], G)
 
     def to_dense(self) -> np.ndarray:
         """Explicit Kronecker-sum assembly; intended for small-m cross-checks."""

@@ -5,15 +5,17 @@ one Runge-Kutta step.  Its stage equations
 
     F(t_n + c_i dt, U_i, K_i) = 0,    U_i = u_n + dt * sum_j a_ij K_j,
 
-form a ``StageSystem`` in one of three unknowns: the stage derivatives K, the
-Butcher variables W = (A (x) I) K, or the stage values U.  Its Jacobian is the
-matrix-free C1 (x) M + dt * C2 (x) J, with (C1, C2) = (I, A) for K and
-(A^-1, I) for W and U.  One Newton loop (``TimeStepper._solve``) drives every
-system, and ``TimeStepper.step`` chooses the systems:
+form a ``StageSystem`` whose splitting fixes the unknown: the stage
+derivatives K under AI, the Butcher variables W = (A (x) I) K under IA.  Its
+Jacobian is the matrix-free C1 (x) M + dt * C2 (x) J, with (C1, C2) = (I, A)
+under AI and (A^-1, I) under IA.  One Newton loop (``TimeStepper._solve``)
+drives every system, and ``TimeStepper.step`` chooses the systems:
 
 * stage derivatives with the AI splitting, I (x) M + dt * A (x) K, stage
   derivatives with the IA splitting, A^-1 (x) M + dt * I (x) K on w, and
-  stage values each solve one s-stage system;
+  stage values each solve one s-stage system.  Stage values are the IA
+  system: on a stiffly accurate tableau their step result is the last stage
+  value u_n + dt * W_s, and otherwise u_n + dt * b^T K as for derivatives;
 * DIRK solves s one-stage systems in turn, stage i with A = [[a_ii]] and the
   base state u_n + dt * sum_{j<i} a_ij K_j.
 
@@ -38,7 +40,6 @@ from .bcs import (
     BcMethod,
     ConstrainedStageOperator,
     DirichletBC,
-    StageUnknown,
     constrain_stage_system,
     stage_bc_values,
 )
@@ -93,13 +94,13 @@ class StageFormulation(Enum):
     STAGE_VALUE = "value"
     DIRK = "dirk"
 
-
-_UNKNOWN = {
-    StageFormulation.STAGE_DERIVATIVE_AI: StageUnknown.DERIVATIVE,
-    StageFormulation.STAGE_DERIVATIVE_IA: StageUnknown.W,
-    StageFormulation.STAGE_VALUE: StageUnknown.VALUE,
-    StageFormulation.DIRK: StageUnknown.DERIVATIVE,
-}
+    @property
+    def splitting(self) -> Splitting:
+        """The splitting of the stage systems: IA for deriv-ia and value, AI
+        for deriv-ai and dirk."""
+        if self in (StageFormulation.STAGE_DERIVATIVE_IA, StageFormulation.STAGE_VALUE):
+            return Splitting.IA
+        return Splitting.AI
 
 
 # Newton stops as stalled once this many residuals in a row stay at or above
@@ -179,6 +180,11 @@ class SemidiscreteProblem:
     def __post_init__(self):
         if self.u0 is not None:
             self.u0 = np.asarray(self.u0, dtype=float)
+        bc = self.dirichlet
+        if bc is not None and len(bc.dofs) and bc.dofs.max() >= self.m:
+            raise ValueError(
+                f"Dirichlet dof {bc.dofs.max()} out of range for a problem of size {self.m}"
+            )
         self._linear = (
             self.residual is None
             and self.stiffness is not None
@@ -203,51 +209,42 @@ class StageSystem:
     """The stage equations F(t + c_i dt, U_i, K_i) = 0 of one step, or of one
     DIRK stage, in the unknown X of shape (s, m).
 
-    ``unknown`` says what X holds: the stage derivatives K, the Butcher
-    variables W = (A (x) I) K, or the stage values U = u + dt W, where ``u``
-    is the base state; ``dofs`` are the problem's Dirichlet dofs.  The
-    Jacobian is C1 (x) M + dt * C2 (x) J; for stage
-    values it is the Jacobian of dt times the residual (``scale``).  At the
-    start point every stage value is u and every derivative zero.
+    ``splitting`` says what X holds: the stage derivatives K under AI, the
+    Butcher variables W = (A (x) I) K under IA.  The stage values are
+    U = u + dt W, where ``u`` is the base state; ``dofs`` are the problem's
+    Dirichlet dofs.  The Jacobian is C1 (x) M + dt * C2 (x) J with
+    (C1, C2) = ``splitting.coefficients(A)``.  The start point is X = 0: every
+    stage value is u and every derivative zero.
     """
 
-    def __init__(self, problem, A, c, t, dt, u, unknown=StageUnknown.DERIVATIVE):
+    def __init__(self, problem, A, c, t, dt, u, splitting=Splitting.AI):
         self.problem = problem
         self.A = np.asarray(A, dtype=float)
         self.times = t + np.asarray(c, dtype=float) * dt
         self.dt = dt
         self.u = u
-        self.unknown = unknown
+        self.splitting = splitting
         self.s = self.A.shape[0]
         bc = problem.dirichlet
         self.dofs = bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
-        self.splitting = Splitting.AI if unknown is StageUnknown.DERIVATIVE else Splitting.IA
         try:
-            self.C1, self.C2 = self.splitting.coefficients(self.A)
+            self.C1, self.C2 = splitting.coefficients(self.A)
         except np.linalg.LinAlgError as exc:
-            raise FormulationError(f"{unknown.value} unknowns need an invertible A") from exc
-        self.scale = dt if unknown is StageUnknown.VALUE else 1.0
+            raise FormulationError(f"the {splitting.value} splitting needs an invertible A") from exc
 
     def start(self) -> np.ndarray:
-        if self.unknown is StageUnknown.VALUE:
-            return np.tile(self.u, (self.s, 1))
         return np.zeros((self.s, len(self.u)))
 
     def derivatives(self, X) -> np.ndarray:
-        if self.unknown is StageUnknown.DERIVATIVE:
-            return X
-        W = X if self.unknown is StageUnknown.W else (X - self.u[None, :]) / self.dt
-        return np.linalg.solve(self.A, W)
+        return X if self.splitting is Splitting.AI else np.linalg.solve(self.A, X)
 
     def states(self, X):
         """The stage values U and stage derivatives K at X."""
         Kv = self.derivatives(X)
-        if self.unknown is StageUnknown.DERIVATIVE:
+        if self.splitting is Splitting.AI:
             U = self.u[None, :] + self.dt * (self.A @ X)
-        elif self.unknown is StageUnknown.W:
-            U = self.u[None, :] + self.dt * X
         else:
-            U = X
+            U = self.u[None, :] + self.dt * X
         return U, Kv
 
     def residual(self, states=None) -> np.ndarray:
@@ -308,10 +305,7 @@ class TimeStepper:
         self.u = np.array(u, dtype=float)
         if self.u.shape != (problem.m,) or not np.all(np.isfinite(self.u)):
             raise ValueError("initial state must be finite of length problem.m")
-        if formulation in (
-            StageFormulation.STAGE_DERIVATIVE_IA,
-            StageFormulation.STAGE_VALUE,
-        ) and not tableau.invertible:
+        if formulation.splitting is Splitting.IA and not tableau.invertible:
             raise FormulationError(
                 f"{formulation.value} needs an invertible tableau, got {tableau.name!r}"
             )
@@ -377,7 +371,7 @@ class TimeStepper:
     def _system(self, problem, rows, u):
         tab = self.tableau
         return StageSystem(problem, tab.A[rows, rows], tab.c[rows], self.t, self._dt, u,
-                           _UNKNOWN[self.formulation])
+                           self.formulation.splitting)
 
     def _build(self, system, kind, Ks):
         """Factor the preconditioner of ``system`` from its Jacobian blocks."""
@@ -503,8 +497,7 @@ class TimeStepper:
                         hist,
                     )
             op = system.jacobian(None if linear else states[0])
-            R *= -system.scale
-            rhs = R.ravel()
+            rhs = np.negative(R, out=R).ravel()
             if not len(dofs):
                 sop = op
             elif linear:
@@ -540,10 +533,10 @@ class TimeStepper:
         """Advance one step; returns the new state and its ``StepReport``."""
         problem = problem if problem is not None else self.problem
         tab, dt, u = self.tableau, self._dt, self.u
-        unknown = _UNKNOWN[self.formulation]
         factorized = self._factorizations
         bc = problem.dirichlet
-        svals = (stage_bc_values(self.bc_method, tab, bc, u, self.t, dt, unknown)
+        svals = (stage_bc_values(self.bc_method, tab, bc, u, self.t, dt,
+                                 self.formulation.splitting)
                  if bc is not None and len(bc.dofs) else None)
         blocks, kind = self._blocks()
         K = np.empty((tab.s, problem.m))
@@ -559,8 +552,8 @@ class TimeStepper:
             newton += nit
             krylov += kit
             hist += h
-        if unknown is StageUnknown.VALUE and tab.stiffly_accurate:
-            u_next = X[-1].copy()
+        if self.formulation is StageFormulation.STAGE_VALUE and tab.stiffly_accurate:
+            u_next = u + dt * X[-1]
         else:
             u_next = u + dt * (tab.b @ K)
         report = StepReport(newton, krylov, final, hist, self._factorizations - factorized)

@@ -5,12 +5,11 @@ from implicitrk.bcs import (
     BcMethod,
     ConstrainedStageOperator,
     DirichletBC,
-    StageUnknown,
     constrain_stage_system,
     stage_bc_values,
 )
 from implicitrk.problems import StructuredGrid, assemble_heat
-from implicitrk.sparsela import KroneckerStageOperator, KrylovSettings, fgmres
+from implicitrk.sparsela import KroneckerStageOperator, KrylovSettings, Splitting, fgmres
 from implicitrk.tableaux import ButcherTableau, lobatto_iiic, radau_iia
 
 
@@ -62,12 +61,11 @@ class TestStageValues:
         g = lambda t: np.array([1.0 + t])
         bc = bc_with([0], g)
         u = np.array([1.0, 0.0])
-        w = stage_bc_values(BcMethod.DAE, tab, bc, u, tn, dt, StageUnknown.W)
+        w = stage_bc_values(BcMethod.DAE, tab, bc, u, tn, dt, Splitting.IA)
         for i, ci in enumerate(tab.c):
             assert w[i, 0] == pytest.approx((g(tn + ci * dt)[0] - 1.0) / dt)
-        y = stage_bc_values(BcMethod.DAE, tab, bc, u, tn, dt, StageUnknown.VALUE)
-        for i, ci in enumerate(tab.c):
-            assert y[i, 0] == pytest.approx(g(tn + ci * dt)[0])
+            # the stage values of the value form, u + dt w, meet the data
+            assert u[0] + dt * w[i, 0] == pytest.approx(g(tn + ci * dt)[0])
 
     def test_dae_requires_invertible(self):
         tab = ButcherTableau([[0.0]], [1.0], [0.0], 1, 0, "explicit-euler")
@@ -95,10 +93,8 @@ class TestStageValues:
         bc = bc_with([0], lambda t: np.array([np.sin(t)]), gd)
         u = np.array([0.25])
         kd = np.array([gd(tn + ci * dt)[0] for ci in tab.c])
-        w = stage_bc_values(BcMethod.ODE, tab, bc, u, tn, dt, StageUnknown.W)
+        w = stage_bc_values(BcMethod.ODE, tab, bc, u, tn, dt, Splitting.IA)
         np.testing.assert_allclose(w[:, 0], tab.A @ kd, atol=1e-14)
-        y = stage_bc_values(BcMethod.ODE, tab, bc, u, tn, dt, StageUnknown.VALUE)
-        np.testing.assert_allclose(y[:, 0], 0.25 + dt * (tab.A @ kd), atol=1e-14)
 
 
 class TestConstrainSystem:
@@ -174,3 +170,8 @@ class TestConstrainSystem:
     def test_negative_dof_rejected(self):
         with pytest.raises(ValueError):
             DirichletBC(dofs=np.array([-1]), g=lambda t: np.zeros(1))
+
+    def test_duplicate_dof_rejected(self):
+        # conflicting data on a repeated dof would silently keep the last value
+        with pytest.raises(ValueError, match="duplicate"):
+            DirichletBC(dofs=np.array([0, 0, 4]), g=lambda t: np.array([1.0, 2.0, 0.0]))

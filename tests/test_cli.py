@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from implicitrk.cli import main
+from implicitrk.cli import build_parser, main
 
 
 def read_csv(path):
@@ -103,6 +105,18 @@ class TestConverge:
         orders = [float(r[2]) for r in rows[1:]]
         assert orders[-1] == pytest.approx(5.0, abs=0.2)
 
+    def test_temporal_order_uses_the_dt_ratio(self, tmp_path):
+        # dt falls fourfold per row, so a third-order method gains 2 * 3 bits
+        out = tmp_path / "temporal.csv"
+        rc = main([
+            "converge", "--mode", "temporal", "--problem", "dahlquist",
+            "--tableau", "radau-iia:2", "--dt-list", "0.2", "0.05", "0.0125",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        orders = [float(r[2]) for r in read_csv(out)[1][1:]]
+        assert orders == pytest.approx([3.0, 3.0], abs=0.2)
+
     def test_temporal_heat1d(self, tmp_path):
         out = tmp_path / "heat1d.csv"
         rc = main([
@@ -178,6 +192,12 @@ class TestPrecondBench:
         ])
         assert rc == 3
 
+    def test_tableau_is_refused(self, tmp_path):
+        # the bench always runs RadauIIA(1..4) or its three DIRK tableaux
+        with pytest.raises(SystemExit) as err:
+            main(["precond-bench", "--tableau", "radau-iia:3", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+
     def test_dirk_rows(self, tmp_path):
         out = tmp_path / "dirk.csv"
         rc = main([
@@ -202,3 +222,51 @@ class TestPrecondBench:
             for kind in PreconditionerKind
         ]
         assert all(v == its[0] == 1.0 for v in its)
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the public attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# tiny runs of each subcommand that together reach every one of its modes
+FLAG_RUNS = {
+    "bc-compare": [["--nx", "4", "--dt", "0.25", "--tfinal", "0.5"]],
+    "converge": [
+        ["--mode", "spatial", "--n-list", "4", "--tfinal", "0.25"],
+        ["--mode", "temporal", "--problem", "dahlquist", "--dt-list", "0.5", "0.25",
+         "--tfinal", "0.5"],
+        ["--mode", "temporal", "--problem", "heat1d", "--nx", "4", "--dt-list", "0.25",
+         "--tfinal", "0.5"],
+    ],
+    "precond-bench": [
+        ["--nx", "4", "--steps", "1"],
+        ["--stage-type", "dirk", "--nx", "4", "--steps", "1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_RUNS))
+def test_every_parsed_flag_is_read(command, tmp_path):
+    # a flag that a subcommand parses but never reads is silently ignored
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    parser = action.choices[command]
+    reads, dests = set(), set()
+    for k, argv in enumerate(FLAG_RUNS[command]):
+        args = parser.parse_args([*argv, "--out", str(tmp_path / str(k))],
+                                 namespace=ReadRecorder())
+        # argparse's own hasattr and getattr calls read every dest
+        args._reads.clear()
+        assert args.fn(args) == 0
+        reads |= args._reads
+        dests |= {d for d in vars(args) if not d.startswith("_")}
+    assert dests - {"fn"} - reads == set()

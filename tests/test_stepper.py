@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from implicitrk.bcs import (
     BcMethod,
     DirichletBC,
-    StageUnknown,
     constrain_stage_system,
     stage_bc_values,
 )
@@ -35,6 +34,7 @@ from implicitrk.sparsela import (
     KrylovSettings,
     NonConvergenceError,
     SparseMatrix,
+    Splitting,
     fgmres,
     spmv,
 )
@@ -86,8 +86,8 @@ class TestAssemble:
         dt = 0.1
         tab = radau_iia(1)
         u = p.u0
-        for unknown in (StageUnknown.DERIVATIVE, StageUnknown.W):
-            system = StageSystem(p, tab.A, tab.c, 0.0, dt, u, unknown)
+        for splitting in (Splitting.AI, Splitting.IA):
+            system = StageSystem(p, tab.A, tab.c, 0.0, dt, u, splitting)
             op, rhs = system.jacobian(), -system.residual().ravel()
             v = np.random.default_rng(0).standard_normal(p.m)
             expect = spmv(p.mass, v) + dt * spmv(p.stiffness, v)
@@ -99,8 +99,8 @@ class TestAssemble:
         tab = radau_iia(2)
         dt = 0.05
         u = p.u0
-        sysA = StageSystem(p, tab.A, tab.c, 0.0, dt, u, StageUnknown.DERIVATIVE)
-        sysI = StageSystem(p, tab.A, tab.c, 0.0, dt, u, StageUnknown.W)
+        sysA = StageSystem(p, tab.A, tab.c, 0.0, dt, u, Splitting.AI)
+        sysI = StageSystem(p, tab.A, tab.c, 0.0, dt, u, Splitting.IA)
         opA, rhsA = sysA.jacobian(), -sysA.residual().ravel()
         opI, rhsI = sysI.jacobian(), -sysI.residual().ravel()
         k = np.linalg.solve(opA.to_dense(), rhsA)
@@ -125,7 +125,7 @@ class TestAssemble:
         tab = ButcherTableau([[0.0]], [1.0], [0.0], 1, 0, "explicit-euler")
         p = heat_no_bc(4)
         with pytest.raises(FormulationError):
-            StageSystem(p, tab.A, tab.c, 0.0, 0.1, p.u0, StageUnknown.W)
+            StageSystem(p, tab.A, tab.c, 0.0, 0.1, p.u0, Splitting.IA)
 
 
 class TestStepLinear:
@@ -136,11 +136,8 @@ class TestStepLinear:
         p = scalar_problem(0.0, u0=1.7)
         st = TimeStepper(p, tab, 0.5, formulation=form, krylov=TIGHT)
         u1, rep = st.step(p)
-        if form is VALUE:
-            assert u1[0] == pytest.approx(1.7, abs=1e-11)
-        else:
-            assert u1[0] == 1.7
-            assert rep.krylov_iters == 0
+        assert u1[0] == 1.7
+        assert rep.krylov_iters == 0
 
     def test_backward_euler_halves(self):
         p = scalar_problem(1.0)  # y' = -y
@@ -825,20 +822,20 @@ class TestInvariants:
         krylov = KrylovSettings(rtol=1e-10)
         st = TimeStepper(p, tab, 0.1, formulation=VALUE, krylov=krylov,
                          pc_kind=PreconditionerKind.RANA_LD)
-        # the linear stage-value solve: one correction from Y = u
-        system = StageSystem(p, tab.A, tab.c, st.t, st.dt, st.u, StageUnknown.VALUE)
+        # the linear stage-value solve: one correction from W = 0 in the IA
+        # system, whose last stage value is the step result
+        system = StageSystem(p, tab.A, tab.c, st.t, st.dt, st.u, Splitting.IA)
         bc = p.dirichlet
-        svals = stage_bc_values(BcMethod.DAE, tab, bc, st.u, st.t, st.dt, StageUnknown.VALUE)
+        svals = stage_bc_values(BcMethod.DAE, tab, bc, st.u, st.t, st.dt, Splitting.IA)
         X = system.start()
         op, rhs = constrain_stage_system(
-            system.jacobian(), -system.scale * system.residual().ravel(), bc,
-            svals - X[:, bc.dofs],
+            system.jacobian(), -system.residual().ravel(), bc, svals - X[:, bc.dofs],
         )
         pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, p.mass, p.stiffness,
                                   st.dt, system.splitting, bc.dofs)
         X = X + fgmres(op, rhs, pc, krylov).x.reshape(X.shape)
         X[:, bc.dofs] = svals
-        expected = X[-1].copy()
+        expected = st.u + st.dt * X[-1]
         u1, _ = st.step(p)
         assert np.array_equal(u1, expected)
 
@@ -911,6 +908,16 @@ class TestValidation:
     def test_problem_requires_operators_or_residual(self):
         with pytest.raises(ValueError):
             SemidiscreteProblem(m=1, mass=SparseMatrix.from_dense([[1.0]]))
+
+    def test_dirichlet_dof_out_of_range(self):
+        # caught at construction, not as an IndexError inside the first step
+        bc = DirichletBC(dofs=np.array([0, 5]), g=lambda t: np.zeros(2))
+        with pytest.raises(ValueError, match="out of range"):
+            SemidiscreteProblem(
+                m=5, mass=SparseMatrix.from_dense(np.eye(5)),
+                stiffness=SparseMatrix.from_dense(np.eye(5)),
+                load=lambda t: np.zeros(5), dirichlet=bc, u0=np.zeros(5),
+            )
 
     def test_repeated_runs_reproduce_bit_for_bit(self):
         # Rana-LD on RadauIIA(2) is inexact, so every step goes through FGMRES
