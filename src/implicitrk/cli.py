@@ -60,6 +60,32 @@ def _krylov(args) -> KrylovSettings:
     return KrylovSettings(rtol=args.rtol)
 
 
+def _positive_float(text):
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,7 +122,7 @@ def cmd_tableau(args) -> int:
     return 0
 
 
-def _norm_series(problem, tab, bc_method, dt, t_final, krylov, pc_kind, formulation):
+def _norm_series(problem, tab, bc_method, dt, nsteps, krylov, pc_kind, formulation):
     stepper = TimeStepper(
         problem, tab, dt,
         formulation=formulation,
@@ -106,7 +132,6 @@ def _norm_series(problem, tab, bc_method, dt, t_final, krylov, pc_kind, formulat
     )
     grid = problem.grid
     rows = [(0.0, problems.fe_l2_norm(grid, stepper.u))]
-    nsteps = round(t_final / dt)
     for _ in range(nsteps):
         u, _ = stepper.step(problem)
         rows.append((stepper.t, problems.fe_l2_norm(grid, u)))
@@ -119,9 +144,16 @@ def cmd_bc_compare(args) -> int:
     krylov = _krylov(args)
     outdir = Path(args.out)
     formulation = _formulation(args)
+    # each row is a whole step, so the series must end on one
+    ratio = args.tfinal / args.dt
+    nsteps = round(ratio)
+    if abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ConfigError(
+            f"--tfinal {args.tfinal:g} is not a whole number of --dt {args.dt:g} steps"
+        )
     for method, fname in ((BcMethod.DAE, "daenorm.csv"), (BcMethod.ODE, "odenorm.csv")):
         rows = _norm_series(
-            problem, tab, method, args.dt, args.tfinal, krylov,
+            problem, tab, method, args.dt, nsteps, krylov,
             _pc_kind(args.pc), formulation,
         )
         _write_csv(outdir / fname, "t,nrmu", [(f"{t:.17g}", f"{v:.17g}") for t, v in rows])
@@ -154,35 +186,27 @@ def cmd_converge(args) -> int:
                 rows.append((n, None, None))
         _write_csv(args.out, "N,L2err,H1err", rows)
         return 0
-    # temporal sweep on a fixed problem
-    ode = {
-        "dahlquist": problems.dahlquist,
-        "prothero-robinson": problems.prothero_robinson,
-    }
+    # temporal sweep on a fixed problem; only the problem and its error differ
+    if args.problem == "heat1d":
+        mms = problems.heat_mms_1d()
+        grid = problems.StructuredGrid(1, args.nx)
+        problem = problems.mms_heat_problem(grid, mms)
+        error = lambda u: problems.l2_error(grid, u, mms.u, args.tfinal)
+    else:
+        case = {"dahlquist": problems.dahlquist,
+                "prothero-robinson": problems.prothero_robinson}[args.problem]()
+        problem = case.problem
+        error = lambda u: abs(u[0] - case.exact(args.tfinal))
     rows = []
     errs = []
     for k, dt in enumerate(args.dt_list):
         try:
-            if args.problem in ode:
-                case = ode[args.problem]()
-                stepper = TimeStepper(
-                    case.problem, tab, dt, formulation=formulation,
-                    krylov=KrylovSettings(rtol=1e-13, atol=1e-14), pc_kind=None,
-                )
-                u, _ = advance(stepper, case.problem, args.tfinal)
-                err = abs(u[0] - case.exact(args.tfinal))
-            elif args.problem == "heat1d":
-                mms = problems.heat_mms_1d()
-                grid = problems.StructuredGrid(1, args.nx)
-                problem = problems.mms_heat_problem(grid, mms)
-                stepper = TimeStepper(
-                    problem, tab, dt, formulation=formulation,
-                    bc_method=bc_method, krylov=krylov, pc_kind=pc,
-                )
-                u, _ = advance(stepper, problem, args.tfinal)
-                err = problems.l2_error(grid, u, mms.u, args.tfinal)
-            else:
-                raise ConfigError(f"unknown temporal problem {args.problem!r}")
+            stepper = TimeStepper(
+                problem, tab, dt, formulation=formulation,
+                bc_method=bc_method, krylov=krylov, pc_kind=pc,
+            )
+            u, _ = advance(stepper, problem, args.tfinal)
+            err = error(u)
             errs.append(err)
             order = (
                 f"{np.log(errs[-2] / err) / np.log(args.dt_list[k - 1] / dt):.5g}"
@@ -284,7 +308,7 @@ def _common_flags(p):
     p.add_argument("--pc", default="rana-ld",
                    choices=["jacobi", "gs-lower", "gs-upper", "rana-ld", "rana-du", "eigen",
                             "none"])
-    p.add_argument("--rtol", type=float, default=1e-8)
+    p.add_argument("--rtol", type=_positive_float, default=1e-8)
     p.add_argument("--out", default="out.csv", help="output CSV path (bc-compare: directory)")
 
 
@@ -299,9 +323,10 @@ def build_parser():
     p = sub.add_parser("bc-compare", help="DAE vs ODE boundary enforcement norms")
     _common_flags(p)
     p.add_argument("--tableau", default="lobatto-iiic:3", help="FAMILY[:S], e.g. radau-iia:2")
-    p.add_argument("--nx", type=int, default=10)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--tfinal", type=float, default=0.5)
+    p.add_argument("--nx", type=_int_at_least(2), default=10)
+    p.add_argument("--dt", type=_positive_float, default=0.05)
+    p.add_argument("--tfinal", type=_positive_float, default=0.5,
+                   help="a whole number of --dt steps")
     p.set_defaults(fn=cmd_bc_compare, out="bc-compare")
 
     p = sub.add_parser("converge", help="spatial or temporal convergence sweep")
@@ -309,11 +334,12 @@ def build_parser():
     p.add_argument("--tableau", default="radau-iia:2", help="FAMILY[:S], e.g. radau-iia:2")
     p.add_argument("--mode", choices=["spatial", "temporal"], default="spatial")
     p.add_argument("--bc-method", choices=["dae", "ode"], default="dae")
-    p.add_argument("--cfl", type=float, default=4.0, help="spatial mode: dt = cfl/N")
-    p.add_argument("--tfinal", type=float, default=1.0)
-    p.add_argument("--nx", type=int, default=32, help="temporal heat1d mesh")
-    p.add_argument("--n-list", type=int, nargs="+", default=[8, 16, 32, 64])
-    p.add_argument("--dt-list", type=float, nargs="+", default=[0.2, 0.1, 0.05, 0.025])
+    p.add_argument("--cfl", type=_positive_float, default=4.0, help="spatial mode: dt = cfl/N")
+    p.add_argument("--tfinal", type=_positive_float, default=1.0)
+    p.add_argument("--nx", type=_int_at_least(2), default=32, help="temporal heat1d mesh")
+    p.add_argument("--n-list", type=_int_at_least(2), nargs="+", default=[8, 16, 32, 64])
+    p.add_argument("--dt-list", type=_positive_float, nargs="+",
+                   default=[0.2, 0.1, 0.05, 0.025])
     p.add_argument("--problem", default="dahlquist",
                    choices=["dahlquist", "prothero-robinson", "heat1d"])
     p.set_defaults(fn=cmd_converge)
@@ -321,9 +347,9 @@ def build_parser():
     p = sub.add_parser("precond-bench", help="FGMRES iterations vs stage count")
     _common_flags(p)
     p.set_defaults(splitting="ia")
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--dt", type=float, default=None, help="defaults to 1/nx")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--nx", type=_int_at_least(2), default=64)
+    p.add_argument("--dt", type=_positive_float, default=None, help="defaults to 1/nx")
+    p.add_argument("--steps", type=_int_at_least(1), default=16)
     p.set_defaults(fn=cmd_precond_bench)
 
     return ap

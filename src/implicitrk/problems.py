@@ -104,9 +104,10 @@ class ManufacturedSolution:
 
     Each callable takes (t, *coordinates) and must broadcast over them:
     ``assemble_load`` calls ``f`` on the open grid of the 2D quadrature
-    lattice, ``(1, 2N)`` and ``(2N, 1)`` arrays, and needs a scalar or an
-    array broadcasting to ``(2N, 2N)`` back; elsewhere the coordinates are
-    flat arrays of one shape.
+    lattice, ``(1, 2N)`` and ``(2N, 1)`` arrays holding the Gauss points in
+    quadrature order (grouped by Gauss point, so not sorted), and needs a
+    scalar or an array broadcasting to ``(2N, 2N)`` back; elsewhere the
+    coordinates are flat arrays of one shape.
     """
 
     dim: int
@@ -187,64 +188,50 @@ def _quad_rule(grid):
 
 @functools.lru_cache(maxsize=4)
 def _load_map(grid: StructuredGrid):
-    """Quadrature-to-load matrix Q (npoints x quadrature points) and the
-    quadrature coordinates, read-only arrays that broadcast to the shape of
+    """The 1D quadrature-to-load matrix Q1 ((N+1) x 2N) and the quadrature
+    coordinates of ``grid``, read-only arrays that broadcast to the shape of
     the quadrature points.
 
-    Q's entries are stored in the order of quadrature point q = p * nelem + e
-    (point p of element e), holding w * phi_j(p) in the row of the element's
-    local vertex j, so each row of Q adds its terms in the order the
-    elementwise loop accumulated them.  In 1D the columns are numbered by q
-    and the coordinates are flat.  In 2D the Gauss points form a 2N x 2N
-    tensor lattice: the coordinates are the open grid x1[None, :] and
-    x1[:, None], with x1[2e + p] the p-th Gauss point of cell e, and the
-    stored column indices are relabelled from q to the lattice's row-major
-    index without moving any entry, so they are no longer sorted.
+    Q1's columns are the Gauss points in the order q = p * N + e (point p of
+    cell e), so x1[q] is the p-th Gauss point of cell e, and column q holds
+    w * phi_j(p) in the row of the cell's vertex j; each row of Q1 adds its
+    terms in the order the elementwise loop accumulated them.  1D
+    coordinates are x1 itself.  In 2D the Gauss points form the tensor
+    lattice x1 x x1, the load is Q1 F Q1^T, and the coordinates are the open
+    grid x1[None, :] and x1[:, None] in that same q order.
     """
+    if grid.dim == 2:
+        Q1, (x1,) = _load_map(StructuredGrid(1, grid.n))
+        return Q1, (x1[None, :], x1[:, None])
     elems = _elements(grid)
     nelem, nloc = elems.shape
     cols, vals, coords = [], [], []
-    for p, (w, phi, _, xq) in enumerate(_quad_rule(grid)):
+    for p, (w, phi, _, (xq,)) in enumerate(_quad_rule(grid)):
         cols.append(np.repeat(p * nelem + np.arange(nelem), nloc))
         vals.append(np.tile(w * phi, nelem))
         coords.append(xq)
-    Q = sp.csr_matrix(
+    Q1 = sp.csr_matrix(
         (np.concatenate(vals), (np.tile(elems.ravel(), len(cols)), np.concatenate(cols))),
         shape=(grid.npoints, len(cols) * nelem),
     )
-    if grid.dim == 1:
-        xq = tuple(np.concatenate(c) for c in zip(*coords))
-    else:
-        n, h = grid.n, grid.h
-        # the same float operations as _quad_rule's xl + xi * h
-        x1 = np.empty(2 * n)
-        for p, (xi, _) in enumerate(_GAUSS2):
-            x1[p::2] = np.arange(n) * h + xi * h
-        # _quad_rule's point p = 2a + b of cell (ex, ey) sits at lattice
-        # row 2 ey + b, column 2 ex + a
-        a, b, ey, ex = np.unravel_index(np.arange(Q.shape[1]), (2, 2, n, n))
-        lattice = np.ravel_multi_index((2 * ey + b, 2 * ex + a), (2 * n, 2 * n))
-        Q.indices = lattice[Q.indices].astype(Q.indices.dtype)
-        Q.has_sorted_indices = False
-        xq = (x1[None, :], x1[:, None])
-    for x in xq:
-        x.setflags(write=False)
-    return Q, xq
+    x1 = np.concatenate(coords)
+    x1.setflags(write=False)
+    return Q1, (x1,)
 
 
 def assemble_load(grid: StructuredGrid, f: Callable, t: float) -> np.ndarray:
-    """Load vector (f(t, .), phi_j) by elementwise Gauss quadrature, as one
-    product of the grid's cached quadrature-to-load matrix with f at the
-    quadrature points.
+    """Load vector (f(t, .), phi_j) by elementwise Gauss quadrature, from f
+    at the quadrature points and the grid's cached 1D quadrature-to-load
+    matrix Q1: Q1 F in 1D and Q1 F Q1^T in 2D.
 
-    ``f`` is called once, on the coordinates of ``_load_map``: flat arrays
+    ``f`` is called once, on the coordinates of ``_load_map``: a flat array
     in 1D, and in 2D the open grid ``x[None, :]``, ``y[:, None]`` of the
     2N x 2N Gauss lattice, so a broadcasting forcing evaluates its factors
     in x and y on 2N points each.  It returns a scalar or an array with one
     axis per coordinate that broadcasts to the quadrature points, such as
     an x-only ``(1, 2N)`` result in 2D; any other shape raises ValueError.
     """
-    Q, xq = _load_map(grid)
+    Q1, xq = _load_map(grid)
     shape = np.broadcast_shapes(*(x.shape for x in xq))
     F = np.asarray(f(t, *xq), dtype=float)
     if F.ndim not in (0, len(shape)) or any(d not in (1, n) for d, n in zip(F.shape, shape)):
@@ -252,7 +239,12 @@ def assemble_load(grid: StructuredGrid, f: Callable, t: float) -> np.ndarray:
             f"forcing returned shape {F.shape}; expected a scalar or an array "
             f"broadcasting to the quadrature points' shape {shape}"
         )
-    return Q @ np.broadcast_to(F, shape).ravel()
+    F = np.broadcast_to(F, shape)
+    if grid.dim == 1:
+        return Q1 @ F.ravel()
+    # F's rows run over y and its columns over x; the product copies the
+    # strided (Q1 F)^T, half the size of the F^T that Q1 (Q1 F^T)^T copies
+    return (Q1 @ (Q1 @ F).T).T.ravel()
 
 
 def l2_error(grid: StructuredGrid, u_h: np.ndarray, u_exact: Callable, t: float) -> float:

@@ -428,10 +428,10 @@ class KrylovSettings:
     maxit: int = 500
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("rtol and atol must be positive")
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
+        if self.restart < 1 or self.maxit < 1:
+            raise ValueError("restart and maxit must be >= 1")
 
 
 @dataclass

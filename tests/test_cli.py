@@ -270,3 +270,55 @@ def test_every_parsed_flag_is_read(command, tmp_path):
         reads |= args._reads
         dests |= {d for d in vars(args) if not d.startswith("_")}
     assert dests - {"fn"} - reads == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--rtol", "-1"],
+    ["converge", "--rtol", "nan"],
+    ["bc-compare", "--dt", "0"],
+    ["bc-compare", "--tfinal", "-1"],
+    ["converge", "--cfl", "inf"],
+    ["converge", "--dt-list", "0.1", "0"],
+    ["bc-compare", "--nx", "1"],
+    ["converge", "--n-list", "8", "1"],
+    ["precond-bench", "--steps", "0"],
+    ["precond-bench", "--nx", "x"],
+], ids=" ".join)
+def test_out_of_range_flag_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+def test_bc_compare_refuses_a_partial_last_step(tmp_path, capsys):
+    # 0.5 / 0.03 steps would end the series at t = 0.51
+    rc = main(["bc-compare", "--dt", "0.03", "--tfinal", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--tfinal" in capsys.readouterr().err
+    assert not (tmp_path / "daenorm.csv").exists()
+
+
+def test_solver_flags_reach_every_stepper(monkeypatch, tmp_path):
+    # a subcommand can read --rtol and --pc and then build a stepper without them
+    from implicitrk import cli
+    from implicitrk.precond import PreconditionerKind
+
+    steppers = []
+
+    class Recording(cli.TimeStepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(self)
+
+    monkeypatch.setattr(cli, "TimeStepper", Recording)
+    runs = [("converge", argv) for argv in FLAG_RUNS["converge"]]
+    runs += [("bc-compare", argv) for argv in FLAG_RUNS["bc-compare"]]
+    for k, (command, argv) in enumerate(runs):
+        steppers.clear()
+        assert main([command, *argv, "--rtol", "1e-9", "--pc", "gs-lower",
+                     "--out", str(tmp_path / str(k))]) == 0
+        assert steppers, argv
+        for st in steppers:
+            assert st.krylov.rtol == 1e-9, argv
+            assert st.pc_kind is PreconditionerKind.BLOCK_LOWER, argv

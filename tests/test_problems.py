@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,9 +136,10 @@ class TestLoad:
             np.add.at(ref, elems, w * np.multiply.outer(f(0.37, *xq), phi))
         v = assemble_load(g, f, 0.37)
         assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(ref)
-        if n & (n - 1) == 0:
+        if dim == 1 and n & (n - 1) == 0:
             # the weights are powers of two, so folding them into the matrix
-            # rounds nothing, and each row adds its terms in the loop's order
+            # rounds nothing, and each row adds its terms in the loop's order;
+            # the 2D product Q1 F Q1^T sums in another order
             np.testing.assert_array_equal(v, ref)
         # a forcing that returns a scalar is broadcast to every point
         np.testing.assert_array_equal(
@@ -183,13 +186,27 @@ class TestLoad:
     @pytest.mark.parametrize("n", [3, 5, 33, 128])
     @pytest.mark.parametrize("cubic", [False, True], ids=["heat", "cubic"])
     def test_lattice_load_matches_flat_evaluation(self, flat_load, n, cubic):
-        # the lattice holds the same floats as the flat points and Q's rows
-        # keep their order, so the loads agree bit for bit for every N
+        # the lattice holds the same floats as the flat points; Q1 F Q1^T
+        # sums them in another order than the 2D matrix, so only rounding moves
         mms = heat_mms_2d()
         f = (lambda t, x, y: mms.f(t, x, y) + mms.u(t, x, y) ** 3) if cubic else mms.f
         g = StructuredGrid(2, n)
-        np.testing.assert_array_equal(assemble_load(g, f, 0.37), flat_load(g, f, 0.37))
-        assert not _load_map(g)[0].has_sorted_indices
+        v, ref = assemble_load(g, f, 0.37), flat_load(g, f, 0.37)
+        assert np.linalg.norm(v - ref) <= 1e-15 * np.linalg.norm(ref)
+        # the 2D load keeps only the 1D matrix, two entries per Gauss point
+        assert _load_map(g)[0].nnz == 4 * n
+
+    def test_first_2d_load_allocates_little(self):
+        # the 2D load map is the 1D one: nothing of size N^2 is built or kept
+        _load_map.cache_clear()
+        g = StructuredGrid(2, 128)
+        tracemalloc.start()
+        try:
+            assemble_load(g, heat_mms_2d().f, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestErrors:

@@ -436,6 +436,14 @@ class TestStepNewton:
         with pytest.raises(ValueError):
             NewtonSettings(**settings)
 
+    @pytest.mark.parametrize("settings", [dict(rtol=float("nan")), dict(atol=float("nan")),
+                                          dict(maxit=0)],
+                             ids=["nan-rtol", "nan-atol", "maxit"])
+    def test_krylov_settings_are_validated(self, settings):
+        # a NaN tolerance never stops FGMRES, which then blames the operator
+        with pytest.raises(ValueError):
+            KrylovSettings(**settings)
+
     def test_exhausted_budget_is_named(self):
         p = allen_cahn_2d(16)
         st = TimeStepper(p, radau_iia(3), 1 / 16, formulation=IA,
