@@ -117,10 +117,11 @@ class StagePreconditioner:
         if r.shape != (self.n,):
             raise ValueError(f"preconditioner expects length {self.n}, got {r.shape}")
         R = r.reshape(self.s, self.m)
-        X = np.zeros_like(R)
+        # every row is written before a later row reads it
+        X = np.empty_like(R)
         mats = [self.M, *self.Ks]
-        # (b, j) -> the product of [M, *Ks][b] with masked X[j], formed once:
-        # the IA mass coupling is the same for every row i
+        # (b, j) -> the product of [M, *Ks][b] with masked X[j], masked in
+        # turn and formed once: the IA mass coupling is the same for every row i
         products = {}
         for i, terms in self._sweep:
             acc = R[i].copy()
@@ -128,10 +129,9 @@ class StagePreconditioner:
                 if (b, j) not in products:
                     xj = X[j].copy()
                     xj[self.dofs] = 0.0
-                    products[b, j] = mats[b].to_scipy() @ xj
-                c = coef * products[b, j]
-                c[self.dofs] = 0.0
-                acc -= c
+                    products[b, j] = pj = mats[b].to_scipy() @ xj
+                    pj[self.dofs] = 0.0
+                acc -= coef * products[b, j]
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()
 

@@ -378,12 +378,10 @@ class KroneckerStageOperator:
         shared or per-stage Ks given as n-column matrices; shape (s, m)."""
         U1 = self.C1 @ V
         U2 = self.C2 @ V
-        out = (M @ U1.T).T
-        if len(Ks) == 1:
-            out = out + self.dt * (Ks[0] @ U2.T).T
-        else:
-            for i in range(self.s):
-                out[i] += self.dt * (Ks[i] @ U2[i])
+        out = np.empty((self.s, M.shape[0]))
+        for i, K in enumerate(Ks * self.s if len(Ks) == 1 else Ks):
+            out[i] = M @ U1[i]
+            out[i] += self.dt * (K @ U2[i])
         return out
 
     def apply(self, v) -> np.ndarray:
@@ -466,17 +464,16 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
     solve: it has converged when the residual estimate meets the target, and
     otherwise the operator is numerically singular on the Krylov space and
     NonConvergenceError is raised.  A rotated Hessenberg column that is
-    exactly zero raises it too.
+    exactly zero raises it too, as does a non-finite residual estimate.
     """
     st = settings or KrylovSettings()
     b = np.asarray(b, dtype=float)
-    n = len(b)
     A = _as_apply(op)
     P = _as_apply(pc)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
 
-    x = np.zeros(n)
+    x = np.zeros_like(b)
     r = b
     normb = float(np.linalg.norm(b))
     target = max(st.rtol * normb, st.atol)
@@ -496,9 +493,9 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
                 residuals,
             )
         beta = np.linalg.norm(r)
-        V = np.empty((cycle + 1, n))
-        Z = np.empty((cycle, n))
-        V[0] = r / beta
+        # the basis grows by one vector per iteration, as it is used
+        V = [r / beta]
+        Z = []
         H = np.zeros((cycle + 1, cycle))
         cs = np.zeros(cycle)
         sn = np.zeros(cycle)
@@ -508,7 +505,9 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
         for j in range(cycle):
             z = V[j] if P is None else P(V[j])
             w = A(z)
-            Z[j] = z
+            if np.may_share_memory(w, z):  # w is orthogonalized in place
+                w = w.copy()
+            Z.append(z)
             iterations += 1
             for i in range(j + 1):
                 H[i, j] = V[i] @ w
@@ -516,7 +515,7 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
             H[j + 1, j] = np.linalg.norm(w)
             lucky = H[j + 1, j] < breakdown_tol
             if not lucky:
-                V[j + 1] = w / H[j + 1, j]
+                V.append(w / H[j + 1, j])
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -534,6 +533,12 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
             residuals.append(abs(float(g[j + 1])))
+            if not np.isfinite(residuals[-1]):
+                raise NonConvergenceError(
+                    f"fgmres: non-finite residual estimate {residuals[-1]} at iteration "
+                    f"{iterations}: the operator or preconditioner returned a non-finite value",
+                    residuals,
+                )
             if residuals[-1] <= target:
                 break
             if lucky:
@@ -550,7 +555,8 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
-        x = x + Z[:k].T @ y
+        for yi, zi in zip(y, Z):
+            x += yi * zi
         if residuals[-1] <= target:
             return FgmresResult(x, iterations, residuals)
         if iterations >= st.maxit:

@@ -236,7 +236,7 @@ class StageSystem:
         return np.zeros((self.s, len(self.u)))
 
     def derivatives(self, X) -> np.ndarray:
-        return X if self.splitting is Splitting.AI else np.linalg.solve(self.A, X)
+        return X if self.splitting is Splitting.AI else self.C1 @ X
 
     def states(self, X):
         """The stage values U and stage derivatives K at X."""
@@ -297,8 +297,10 @@ class TimeStepper:
         pc_kind: PreconditionerKind | None = None,
         newton: NewtonSettings | None = None,
     ):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError("dt must be finite and positive")
+        if not np.isfinite(t0):
+            raise ValueError("t0 must be finite")
         u = u0 if u0 is not None else problem.u0
         if u is None:
             raise ValueError("no initial state: pass u0 or set problem.u0")
@@ -348,8 +350,8 @@ class TimeStepper:
 
     @dt.setter
     def dt(self, value):
-        if value <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("dt must be finite and positive")
         if value != self._dt:
             kept = (self._dt, float(value))
             self._t_base = self.t
@@ -568,6 +570,8 @@ def advance(stepper: TimeStepper, problem: SemidiscreteProblem, t_final: float):
     Returns the final state and the list of per-step reports.  A failing step
     raises StepFailure with the number of completed steps attached.
     """
+    if not np.isfinite(t_final):
+        raise ValueError("t_final must be finite")
     if t_final < stepper.t - 1e-12 * max(1.0, abs(stepper.t)):
         raise ValueError("t_final lies before the current time")
     span = t_final - stepper.t

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,12 +8,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from implicitrk.problems import StructuredGrid, assemble_heat
+from implicitrk.tableaux import radau_iia
 from implicitrk.sparsela import (
     FactorizationError,
     KroneckerStageOperator,
     KrylovSettings,
     NonConvergenceError,
     SparseMatrix,
+    Splitting,
     dirichlet_constrain,
     factorize_block,
     fgmres,
@@ -462,6 +466,21 @@ class TestKronecker:
             np.testing.assert_allclose(op.apply_columns(cols, G).ravel(), op.apply(V.ravel()),
                                        rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("form", list(Splitting))
+    def test_shared_and_per_stage_copies_of_k_agree_bit_for_bit(self, form):
+        # one row loop serves a shared K and per-stage Jacobians alike
+        M, K, bdofs = assemble_heat(StructuredGrid(2, 8))
+        tab = radau_iia(3)
+        C1, C2 = form.coefficients(tab.A)
+        shared = KroneckerStageOperator(C1, C2, M, [K], 0.125)
+        per_stage = KroneckerStageOperator(C1, C2, M, [K] * tab.s, 0.125)
+        rng = np.random.default_rng(31)
+        v = rng.standard_normal(shared.n)
+        G = rng.standard_normal((tab.s, len(bdofs)))
+        assert shared.apply(v).tobytes() == per_stage.apply(v).tobytes()
+        assert (shared.apply_columns(bdofs, G).tobytes()
+                == per_stage.apply_columns(bdofs, G).tobytes())
+
     def test_dimension_error(self):
         M, K = p1_pair(4)
         op = KroneckerStageOperator(np.eye(2), np.eye(2), M, [K], 0.1)
@@ -473,6 +492,14 @@ class TestFgmres:
     def test_identity_one_iteration(self):
         b = np.arange(1.0, 6.0)
         res = fgmres(np.eye(5), b)
+        assert res.iterations == 1
+        np.testing.assert_allclose(res.x, b, atol=1e-12)
+
+    @pytest.mark.parametrize("pc", [None, lambda v: v], ids=["no-pc", "identity-pc"])
+    def test_operator_that_returns_its_input(self, pc):
+        # the basis vector it returns must not be orthogonalized in place
+        b = np.arange(1.0, 6.0)
+        res = fgmres(lambda v: v, b, pc)
         assert res.iterations == 1
         np.testing.assert_allclose(res.x, b, atol=1e-12)
 
@@ -541,6 +568,42 @@ class TestFgmres:
         with pytest.raises(NonConvergenceError, match="numerically singular") as err:
             fgmres(A, b)
         assert err.value.residuals[-1] > KrylovSettings().rtol * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("where", ["op", "pc"])
+    def test_non_finite_apply_stops_at_its_iteration(self, where):
+        # an operator or preconditioner that returns NaN from its third apply:
+        # the recurrence must not run on to maxit
+        d = np.linspace(1.0, 10.0, 50)
+        applies = []
+
+        def breaks(v):
+            applies.append(1)
+            return v if len(applies) < 3 else np.full_like(v, np.nan)
+
+        op = (lambda v: d * breaks(v)) if where == "op" else (lambda v: d * v)
+        pc = breaks if where == "pc" else None
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonConvergenceError,
+                               match="non-finite residual estimate nan at iteration 3") as err:
+                fgmres(op, np.ones(50), pc)
+        assert len(applies) == 3
+        assert np.isnan(err.value.residuals[-1]) and len(err.value.residuals) == 4
+
+    def test_basis_memory_scales_with_the_iterations_used(self):
+        # three clusters of eigenvalues: converged after 3 of the 50
+        # iterations a cycle may take, so only those vectors are allocated
+        n = 50_000
+        d = np.array([1.0, 2.0, 3.0])[np.arange(n) % 3]
+        b = np.ones(n)
+        tracemalloc.start()
+        try:
+            res = fgmres(lambda v: d * v, b, settings=KrylovSettings(restart=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        np.testing.assert_allclose(res.x, b / d, rtol=1e-8)
+        assert peak < 12 * b.nbytes
 
     def test_zero_rhs(self):
         res = fgmres(np.eye(4), np.zeros(4))

@@ -47,6 +47,7 @@ from implicitrk.stepper import (
     StageSystem,
     StepFailure,
     TimeStepper,
+    _STALL_WINDOW,
     advance,
 )
 from implicitrk.tableaux import alexander_dirk, lobatto_iiic, radau_iia, wsodirk433
@@ -459,6 +460,24 @@ class TestStepNewton:
         assert len(cause.residuals) == 2
         assert 1e-14 * cause.residuals[0] < cause.residuals[1] < cause.residuals[0]
         assert "max iterations: " in str(err.value)
+
+
+def test_ia_stage_derivatives_need_no_solve(monkeypatch):
+    # under IA the unknown is W = (A (x) I) K, and C1 is already A^-1
+    p = incompatible_heat_1d(12)
+    tab = radau_iia(3)
+    system = StageSystem(p, tab.A, tab.c, 0.0, 0.05, p.u0, Splitting.IA)
+    X = np.random.default_rng(41).standard_normal((tab.s, p.m))
+    expect = np.linalg.solve(tab.A, X)
+    st_ = TimeStepper(p, tab, 0.05, formulation=IA, pc_kind=PreconditionerKind.RANA_LD)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    np.testing.assert_allclose(system.derivatives(X), expect, rtol=0,
+                               atol=1e-14 * np.abs(expect).max())
+    st_.step(p)
 
 
 class TestAdvance:
@@ -896,6 +915,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeStepper(p, radau_iia(1), 0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", np.nan), ("dt", np.inf), ("t0", np.nan), ("t0", -np.inf),
+        ("dt.setter", np.nan), ("t_final", np.nan), ("t_final", np.inf),
+    ])
+    def test_non_finite_time_inputs_are_refused(self, name, value):
+        # NaN fails every comparison, so a bare dt <= 0 check lets it through,
+        # and advance() would end in round(nan) or round(inf)
+        p = scalar_problem(1.0)
+        arg = name.split(".")[0]
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+            if name == "dt.setter":
+                TimeStepper(p, radau_iia(1), 0.1).dt = value
+            elif arg == "t_final":
+                advance(TimeStepper(p, radau_iia(1), 0.1), p, value)
+            else:
+                TimeStepper(p, radau_iia(1), **{"dt": 0.1, arg: value})
+
     def test_requires_initial_state(self):
         p = SemidiscreteProblem(
             m=1, mass=SparseMatrix.from_dense([[1.0]]),
@@ -1036,6 +1072,90 @@ def test_one_step_matches_dense_constrained_stage_solve(
     np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
 
 
+def _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs):
+    """One step of a random lumped cubic reaction M u' + K u + d u^3 = f(t),
+    with DAE boundary data on ``dofs``, and its dense Newton oracle.
+
+    Returns None for a tableau out of scope: weights summing to about zero,
+    or cond(A) >= 1e3 once a stiffly accurate A has taken b as its last row.
+    Otherwise returns (tab, problem, t0, expect).  ``expect`` is the step
+    result of undamped dense Newton on the stage-derivative equations
+    M k_i + K U_i + d U_i^3 - f(t_i) = 0, U_i = u0 + dt sum_j a_ij k_j, with
+    the DAE boundary values of k held fixed.  It is None when that Newton
+    does not converge on the terms the stepper promises: through Jacobians
+    with cond < 1e6, within 60 iterations, and without _STALL_WINDOW
+    residuals in a row at or above the smallest residual before them.
+    """
+    from implicitrk.tableaux import ButcherTableau
+
+    rng = np.random.default_rng(seed)
+    M, K = _random_spd(rng, m), _random_spd(rng, m) / m
+    # a lumped cubic reaction with positive weights
+    d = rng.uniform(0.5, 1.5, m)
+    A = np.diag(rng.uniform(0.2, 1.5, s))
+    A += np.tril(rng.uniform(-0.5, 0.5, (s, s)), -1)
+    if form is not DIRK:
+        A += np.triu(rng.uniform(-0.5, 0.5, (s, s)), 1)
+    b = A[-1].copy() if stiffly_accurate else rng.uniform(0.1, 1.0, s)
+    if not abs(b.sum()) > 0.1:
+        return None
+    b /= b.sum()
+    if stiffly_accurate:
+        A[-1] = b
+    if not np.linalg.cond(A) < 1e3:
+        return None
+    tab = ButcherTableau(A, b, rng.uniform(0.0, 1.0, s), 1, 1, "random")
+    g0, g1 = 0.5 * rng.standard_normal(len(dofs)), 0.5 * rng.standard_normal(len(dofs))
+    f0, f1 = rng.standard_normal(m), rng.standard_normal(m)
+    t0 = float(rng.uniform(0.0, 1.0))
+    u0 = 0.5 * rng.standard_normal(m)
+
+    def residual(t, u, udot):
+        return M @ udot + K @ u + d * u**3 - (f0 + t * f1)
+
+    def jacobian(t, u):
+        return SparseMatrix.from_dense(K + np.diag(3.0 * d * u**2))
+
+    p = SemidiscreteProblem(
+        m=m, mass=SparseMatrix.from_dense(M), residual=residual, jacobian_u=jacobian,
+        dirichlet=DirichletBC(dofs, g=lambda t: g0 + t * g1), u0=u0,
+    )
+
+    times = t0 + tab.c * dt
+    W = np.array([g0 + ti * g1 - u0[dofs] for ti in times]) / dt
+    k = np.zeros((s, m))
+    k[:, dofs] = np.linalg.solve(A, W)
+    free = np.setdiff1d(np.arange(m), dofs)
+    fidx = (np.arange(s)[:, None] * m + free[None, :]).ravel()
+    hist = []
+    for _ in range(60):
+        U = u0[None, :] + dt * (A @ k)
+        R = np.stack([residual(ti, U[i], k[i]) for i, ti in enumerate(times)])
+        R[:, dofs] = 0.0
+        hist.append(np.linalg.norm(R))
+        if hist[-1] < 1e-13:
+            return tab, p, t0, u0 + dt * (b @ k)
+        if min(hist[-_STALL_WINDOW:]) >= min(hist[:-_STALL_WINDOW], default=np.inf):
+            break
+        J = np.zeros((s * m, s * m))
+        for i in range(s):
+            Ji = K + np.diag(3.0 * d * U[i] ** 2)
+            for j in range(s):
+                J[i * m:(i + 1) * m, j * m:(j + 1) * m] = (i == j) * M + dt * A[i, j] * Ji
+        Jf = J[np.ix_(fidx, fidx)]
+        if not np.linalg.cond(Jf) < 1e6:
+            break
+        k.ravel()[fidx] -= np.linalg.solve(Jf, R.ravel()[fidx])
+    return tab, p, t0, None
+
+
+def _cubic_stepper(case, form, dt, pc_kind):
+    tab, p, t0, _ = case
+    return TimeStepper(p, tab, dt, formulation=form, t0=t0, pc_kind=pc_kind,
+                       krylov=KrylovSettings(rtol=1e-13, atol=1e-15, maxit=400),
+                       newton=NewtonSettings(rtol=1e-12, atol=1e-13))
+
+
 @pytest.mark.parametrize("form", [AI, IA, VALUE, DIRK])
 @settings(max_examples=30, deadline=None)
 @given(
@@ -1051,72 +1171,26 @@ def test_one_step_matches_dense_constrained_stage_solve(
 def test_one_nonlinear_step_matches_dense_newton(
     form, m, s, seed, dt, stiffly_accurate, pc_kind, data
 ):
-    # Oracle: dense Newton on the stage-derivative equations
-    # M k_i + K U_i + d U_i^3 - f(t_i) = 0, U_i = u0 + dt sum_j a_ij k_j,
-    # with the DAE boundary values of k held fixed on the Dirichlet dofs.
-    # Every formulation solves these equations in its own unknown.
-    from implicitrk.tableaux import ButcherTableau
-
-    rng = np.random.default_rng(seed)
-    M, K = _random_spd(rng, m), _random_spd(rng, m) / m
-    # a lumped cubic reaction with positive weights
-    d = rng.uniform(0.5, 1.5, m)
-    A = np.diag(rng.uniform(0.2, 1.5, s))
-    A += np.tril(rng.uniform(-0.5, 0.5, (s, s)), -1)
-    if form is not DIRK:
-        A += np.triu(rng.uniform(-0.5, 0.5, (s, s)), 1)
-    assume(np.linalg.cond(A) < 1e3)
-    b = A[-1].copy() if stiffly_accurate else rng.uniform(0.1, 1.0, s)
-    assume(abs(b.sum()) > 0.1)
-    b /= b.sum()
-    if stiffly_accurate:
-        A[-1] = b
-    tab = ButcherTableau(A, b, rng.uniform(0.0, 1.0, s), 1, 1, "random")
+    # Every formulation solves the oracle's stage-derivative equations in its
+    # own unknown (see _cubic_step_case).
     dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1))),
                     dtype=np.int64)
-    g0, g1 = 0.5 * rng.standard_normal(len(dofs)), 0.5 * rng.standard_normal(len(dofs))
-    f0, f1 = rng.standard_normal(m), rng.standard_normal(m)
-    t0 = float(rng.uniform(0.0, 1.0))
-    u0 = 0.5 * rng.standard_normal(m)
-    Ms, Ks = SparseMatrix.from_dense(M), SparseMatrix.from_dense(K)
-
-    def residual(t, u, udot):
-        return M @ udot + K @ u + d * u**3 - (f0 + t * f1)
-
-    def jacobian(t, u):
-        return SparseMatrix.from_dense(K + np.diag(3.0 * d * u**2))
-
-    p = SemidiscreteProblem(
-        m=m, mass=Ms, residual=residual, jacobian_u=jacobian,
-        dirichlet=DirichletBC(dofs, g=lambda t: g0 + t * g1), u0=u0,
-    )
-
-    times = t0 + tab.c * dt
-    W = np.array([g0 + ti * g1 - u0[dofs] for ti in times]) / dt
-    k = np.zeros((s, m))
-    k[:, dofs] = np.linalg.solve(A, W)
-    free = np.setdiff1d(np.arange(m), dofs)
-    fidx = (np.arange(s)[:, None] * m + free[None, :]).ravel()
-    for _ in range(60):
-        U = u0[None, :] + dt * (A @ k)
-        R = np.stack([residual(ti, U[i], k[i]) for i, ti in enumerate(times)])
-        R[:, dofs] = 0.0
-        if np.linalg.norm(R) < 1e-13:
-            break
-        J = np.zeros((s * m, s * m))
-        for i in range(s):
-            Ji = K + np.diag(3.0 * d * U[i] ** 2)
-            for j in range(s):
-                J[i * m:(i + 1) * m, j * m:(j + 1) * m] = (i == j) * M + dt * A[i, j] * Ji
-        Jf = J[np.ix_(fidx, fidx)]
-        assume(np.linalg.cond(Jf) < 1e6)
-        k.ravel()[fidx] -= np.linalg.solve(Jf, R.ravel()[fidx])
-    assume(np.linalg.norm(R) < 1e-13)
-    expect = u0 + dt * (b @ k)
-
-    st_ = TimeStepper(p, tab, dt, formulation=form, t0=t0, pc_kind=pc_kind,
-                      krylov=KrylovSettings(rtol=1e-13, atol=1e-15, maxit=400),
-                      newton=NewtonSettings(rtol=1e-12, atol=1e-13))
-    u1, rep = st_.step(p)
+    case = _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs)
+    assume(case is not None and case[3] is not None)
+    u1, rep = _cubic_stepper(case, form, dt, pc_kind).step(case[1])
     assert rep.newton_iters >= 1
+    expect = case[3]
     np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
+
+
+def test_dense_newton_oracle_refuses_a_stalling_draw():
+    # An unseeded run of the property above drew this case.  The stiffly
+    # accurate overwrite makes a_22 = -1.997 (cond(A) = 5.0).  Undamped Newton
+    # wanders for 57 iterations, with residuals up to 4.9e3, before it lands
+    # on a root; the stepper stops it as stalled after 11 residuals, which is
+    # what it promises, so the oracle must not accept that root either.
+    case = _cubic_step_case(IA, 3, 2, 253944017, 0.374611244411382, True,
+                            np.empty(0, dtype=np.int64))
+    assert case is not None and case[3] is None
+    with pytest.raises(NonlinearDivergenceError, match="stalled residual"):
+        _cubic_stepper(case, IA, 0.374611244411382, None).step(case[1])
