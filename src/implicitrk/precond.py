@@ -28,6 +28,7 @@ from .sparsela import (
     SparseMatrix,
     Splitting,
     factorize_block,
+    stage_blocks,
 )
 from .tableaux import ButcherTableau, ldu_factor
 
@@ -75,8 +76,8 @@ def _surrogate(kind: PreconditionerKind, tab: ButcherTableau) -> np.ndarray:
 
 class StagePreconditioner:
     """Factorized application of the inverse of the triangular surrogate
-    system C1 (x) M + dt * C2 (x) K, with (C1, C2) the coefficients of
-    ``A_tilde``.
+    system C1 (x) M + dt * C2 (x) K_i, with (C1, C2) the ``form``
+    coefficients of ``A_tilde`` and ``Ks`` one stiffness block per stage.
 
     Immutable once built; ``apply`` uses only local scratch, so a built
     preconditioner can be shared between concurrent solves.  ``exact`` says
@@ -84,33 +85,29 @@ class StagePreconditioner:
     inverse of the constrained stage operator built from the same M and Ks.
     """
 
-    def __init__(self, A_tilde, C1, C2, M, Ks, dt, dofs, exact):
+    def __init__(self, A_tilde, form, M, Ks, dt, dofs, exact):
+        C1, C2 = form.coefficients(A_tilde)
         self.A_tilde = A_tilde
         self.exact = exact
-        self.M = M
-        self.Ks = Ks
         self.dofs = dofs
         self.s = A_tilde.shape[0]
         self.m = M.nrows
         self.n = self.s * self.m
-        # block row i's stiffness is Ks[k[i]]
-        k = [i if len(Ks) > 1 else 0 for i in range(self.s)]
         self.block_factors = [
-            factorize_block(M, Ks[k[i]], C1[i, i], dt * C2[i, i], dofs) for i in range(self.s)
+            factorize_block(M, Ks[i], C1[i, i], dt * C2[i, i], dofs) for i in range(self.s)
         ]
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
         backward = bool(np.triu(A_tilde, 1).any())
         order = range(self.s - 1, -1, -1) if backward else range(self.s)
-        # (i, [(j, b, coef)]) in sweep order: block row i's nonzero coupling
-        # terms C1_ij M x_j + dt C2_ij K_i x_j, where b indexes [M, *Ks]
-        self._sweep = [
-            (i, [(j, b, c)
-                 for j in (range(i + 1, self.s) if backward else range(i))
-                 for b, c in ((0, C1[i, j]), (1 + k[i], dt * C2[i, j]))
-                 if c != 0.0])
-            for i in order
-        ]
+        # (i, J, [(C_iJ, mat)]) in sweep order: block row i's coupling to the
+        # solved rows J, C1_iJ M and dt C2_iJ K_i, where C_iJ is nonzero
+        self._sweep = []
+        for i in order:
+            J = slice(i + 1, self.s) if backward else slice(0, i)
+            self._sweep.append((i, J, [(C[i, J], mat.to_scipy())
+                                       for C, mat in ((C1, M), (dt * C2, Ks[i]))
+                                       if C[i, J].any()]))
 
     def apply(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -119,19 +116,15 @@ class StagePreconditioner:
         R = r.reshape(self.s, self.m)
         # every row is written before a later row reads it
         X = np.empty_like(R)
-        mats = [self.M, *self.Ks]
-        # (b, j) -> the product of [M, *Ks][b] with masked X[j], masked in
-        # turn and formed once: the IA mass coupling is the same for every row i
-        products = {}
-        for i, terms in self._sweep:
+        for i, J, terms in self._sweep:
             acc = R[i].copy()
-            for j, b, coef in terms:
-                if (b, j) not in products:
-                    xj = X[j].copy()
-                    xj[self.dofs] = 0.0
-                    products[b, j] = pj = mats[b].to_scipy() @ xj
-                    pj[self.dofs] = 0.0
-                acc -= coef * products[b, j]
+            for c, mat in terms:
+                # sum_j c_j P mat P x_j = P mat P sum_j c_j x_j (P: the mask)
+                y = c @ X[J]
+                y[self.dofs] = 0.0
+                p = mat @ y
+                p[self.dofs] = 0.0
+                acc -= p
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()
 
@@ -197,7 +190,7 @@ def build_preconditioner(
     ``dirichlet`` lists constrained spatial dofs; the blocks receive the same
     identity-row/column treatment as the constrained operator.
     """
-    Ks = list(K) if isinstance(K, (list, tuple)) else [K]
+    Ks = stage_blocks(K, tab.s)
     dofs = np.asarray(dirichlet if dirichlet is not None else [], dtype=np.int64)
     A_tilde = _surrogate(kind, tab)
     try:
@@ -212,8 +205,8 @@ def build_preconditioner(
             f"IA-form preconditioning needs an invertible tableau, got {tab.name!r}"
         )
     if kind is PreconditionerKind.EIGEN:
-        if len(Ks) != 1:
+        if any(Ki is not Ks[0] for Ki in Ks):
             raise ValueError("eigen preconditioning needs one stiffness shared by all stages")
         return EigenPreconditioner(A_tilde, form, M, Ks[0], dt, dofs)
-    return StagePreconditioner(A_tilde, *form.coefficients(A_tilde), M, Ks, dt, dofs,
+    return StagePreconditioner(A_tilde, form, M, Ks, dt, dofs,
                                exact=np.array_equal(A_tilde, tab.A))

@@ -345,11 +345,19 @@ def factorize_block(
     return BlockFactorization(lu, M.nrows, dtype)
 
 
+def stage_blocks(K, s: int) -> list:
+    """``K`` as one block per stage: one matrix is shared by all s stages."""
+    Ks = list(K) if isinstance(K, (list, tuple)) else [K]
+    if len(Ks) not in (1, s):
+        raise ValueError("Ks must hold one matrix or one per stage")
+    return Ks * s if len(Ks) == 1 else Ks
+
+
 class KroneckerStageOperator:
     """Matrix-free action of C1 (x) M + dt * C2 (x) K on stacked stage vectors.
 
-    ``Ks`` holds either one stiffness matrix shared by all stages or one
-    Jacobian per stage; per-stage matrices are row-indexed, i.e. block row i
+    ``Ks`` is one stiffness matrix shared by all stages or one Jacobian per
+    stage, held as one block per stage (``stage_blocks``): block row i
     applies K_i.  Block rows are evaluated with a fixed summation order so
     results are reproducible.
     """
@@ -358,13 +366,11 @@ class KroneckerStageOperator:
         self.C1 = np.ascontiguousarray(C1, dtype=float)
         self.C2 = np.ascontiguousarray(C2, dtype=float)
         self.M = M
-        self.Ks = list(Ks) if isinstance(Ks, (list, tuple)) else [Ks]
         self.dt = float(dt)
         s = self.C1.shape[0]
         if self.C1.shape != (s, s) or self.C2.shape != (s, s):
             raise ValueError("C1, C2 must be square and of equal size")
-        if len(self.Ks) not in (1, s):
-            raise ValueError("Ks must hold one matrix or one per stage")
+        self.Ks = stage_blocks(Ks, s)
         m = M.nrows
         for K in self.Ks:
             if K.shape != (m, m) or M.shape != (m, m):
@@ -375,11 +381,11 @@ class KroneckerStageOperator:
 
     def _product(self, M, Ks, V) -> np.ndarray:
         """(C1 (x) M + dt * C2 (x) K) V for V of shape (s, n), with M and the
-        shared or per-stage Ks given as n-column matrices; shape (s, m)."""
+        per-stage Ks given as n-column matrices; shape (s, m)."""
         U1 = self.C1 @ V
         U2 = self.C2 @ V
         out = np.empty((self.s, M.shape[0]))
-        for i, K in enumerate(Ks * self.s if len(Ks) == 1 else Ks):
+        for i, K in enumerate(Ks):
             out[i] = M @ U1[i]
             out[i] += self.dt * (K @ U2[i])
         return out
@@ -401,17 +407,9 @@ class KroneckerStageOperator:
 
     def to_dense(self) -> np.ndarray:
         """Explicit Kronecker-sum assembly; intended for small-m cross-checks."""
-        Md = self.M.to_dense()
-        out = np.kron(self.C1, Md)
-        if len(self.Ks) == 1:
-            out += self.dt * np.kron(self.C2, self.Ks[0].to_dense())
-        else:
-            for i in range(self.s):
-                Kd = self.Ks[i].to_dense()
-                for j in range(self.s):
-                    out[
-                        i * self.m : (i + 1) * self.m, j * self.m : (j + 1) * self.m
-                    ] += self.dt * self.C2[i, j] * Kd
+        out = np.kron(self.C1, self.M.to_dense())
+        for i, K in enumerate(self.Ks):
+            out[i * self.m : (i + 1) * self.m] += self.dt * np.kron(self.C2[i], K.to_dense())
         return out
 
 

@@ -196,13 +196,22 @@ class SemidiscreteProblem:
                     "problem needs either (stiffness, load) or a residual"
                 )
             M, K, f = self.mass, self.stiffness, self.load
-            self.residual = lambda t, u, udot: spmv(M, udot) + spmv(K, u) - f(t)
+            self.residual = lambda t, u, udot: (spmv(M, udot) + spmv(K, u)
+                                                - _of_shape("load", f(t), u.shape))
             if self.jacobian_u is None:
                 self.jacobian_u = lambda t, u: K
 
     @property
     def is_linear(self) -> bool:
         return self._linear
+
+
+def _of_shape(callback, value, shape):
+    """``value`` unless its shape is not ``shape``: numpy would broadcast it."""
+    value = np.asarray(value)
+    if value.shape != shape:
+        raise ValueError(f"{callback} returned shape {value.shape}, expected {shape}")
+    return value
 
 
 class StageSystem:
@@ -256,20 +265,18 @@ class StageSystem:
         if states is None and p.is_linear:
             Ku = spmv(p.stiffness, self.u)
             for i, ti in enumerate(self.times):
-                np.subtract(Ku, p.load(ti), out=R[i])
+                np.subtract(Ku, _of_shape("load", p.load(ti), Ku.shape), out=R[i])
             return R
         U, Kv = states if states is not None else self.states(self.start())
         for i, ti in enumerate(self.times):
-            R[i] = p.residual(ti, U[i], Kv[i])
+            R[i] = _of_shape("residual", p.residual(ti, U[i], Kv[i]), R[i].shape)
         return R
 
     def jacobian(self, U=None) -> KroneckerStageOperator:
         """The Jacobian at stage values U; a linear problem's needs none."""
         p = self.problem
-        if p.is_linear:
-            Ks = [p.stiffness]
-        else:
-            Ks = [p.jacobian_u(ti, U[i]) for i, ti in enumerate(self.times)]
+        Ks = (p.stiffness if p.is_linear
+              else [p.jacobian_u(ti, U[i]) for i, ti in enumerate(self.times)])
         return KroneckerStageOperator(self.C1, self.C2, p.mass, Ks, self.dt)
 
 
@@ -315,7 +322,12 @@ class TimeStepper:
             raise FormulationError(
                 f"DIRK stepping needs a lower-triangular tableau, got {tableau.name!r}"
             )
-        if pc_kind is PreconditionerKind.EIGEN:
+        bc = problem.dirichlet
+        if (formulation.splitting is Splitting.AI and bc_method is BcMethod.DAE
+                and bc is not None and len(bc.dofs) and not tableau.invertible):
+            raise FormulationError(f"DAE boundary values need an invertible A, got {tableau.name!r}")
+        # DIRK ignores pc_kind (see _blocks)
+        if pc_kind is PreconditionerKind.EIGEN and formulation is not StageFormulation.DIRK:
             if not problem.is_linear:
                 raise FormulationError("the eigen preconditioner needs a linear problem")
             cond = butcher_eigenbasis(tableau.A)[2]

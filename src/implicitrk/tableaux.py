@@ -177,10 +177,6 @@ def radau_iia(s: int) -> ButcherTableau:
     """
     if not 1 <= s <= 5:
         raise UnsupportedStageCountError(f"radau_iia supports 1 <= s <= 5, got {s}")
-    if s == 1:
-        return ButcherTableau(
-            [[1.0]], [1.0], [1.0], formal_order=1, stage_order=1, name="radau-iia:1"
-        )
     c = _radau_nodes(s)
     A, b = _lagrange_integrals(c)
     return ButcherTableau(

@@ -183,6 +183,14 @@ class TestPrecondBench:
         assert rc == 2
         assert "cond(T)" in capsys.readouterr().err
 
+    def test_dirk_ignores_eigen(self, tmp_path):
+        # DIRK solves each stage by its exact block, so --pc changes nothing
+        base = ["converge", "--mode", "temporal", "--problem", "heat1d", "--nx", "8",
+                "--stage-type", "dirk", "--tableau", "alexander", "--dt-list", "0.2", "0.1"]
+        assert main(base + ["--pc", "eigen", "--out", str(tmp_path / "eigen.csv")]) == 0
+        assert main(base + ["--out", str(tmp_path / "none.csv")]) == 0
+        assert (tmp_path / "eigen.csv").read_text() == (tmp_path / "none.csv").read_text()
+
     def test_solver_failure_exit_3(self, tmp_path):
         # an unreachable tolerance on a system larger than the restart length
         # exhausts maxit (small systems instead terminate by lucky breakdown)

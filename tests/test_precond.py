@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from implicitrk.precond import (
@@ -249,6 +250,15 @@ class TestValidation:
                 PreconditionerKind.BLOCK_DIAGONAL, tab, M, K, 0.1, Splitting.IA
             )
 
+    def test_stiffness_blocks_must_match_the_stages(self):
+        # one matrix, or one per stage, wherever the Kronecker layer takes Ks
+        M, K = spd_pair(3, 73)
+        tab = radau_iia(3)
+        with pytest.raises(ValueError, match="one matrix or one per stage"):
+            build_preconditioner(PreconditionerKind.RANA_LD, tab, M, [K, K], 0.1)
+        with pytest.raises(ValueError, match="one matrix or one per stage"):
+            KroneckerStageOperator(*Splitting.AI.coefficients(tab.A), M, [K, K], 0.1)
+
 
 class TestConstrained:
     def test_matches_dense_constrained_inverse(self):
@@ -282,33 +292,34 @@ class TestConstrained:
             assert x[i * m + 2] == pytest.approx(r[i * m + 2], abs=1e-12)
 
 
-@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
-def test_coupling_product_formed_once_per_solved_stage(form):
-    # RadauIIA(4) with Rana-LD couples row i to every earlier stage j; the
-    # product of the shared mass (IA) or stiffness (AI) with masked X[j] does
-    # not depend on i, so one apply forms 3 of them rather than 6
+@pytest.mark.parametrize("form, per_stage",
+                         [(Splitting.IA, False), (Splitting.IA, True),
+                          (Splitting.AI, False), (Splitting.AI, True)],
+                         ids=["ia-shared", "ia-per-stage", "ai-shared", "ai-per-stage"])
+def test_one_sparse_product_per_coupled_row(monkeypatch, form, per_stage):
+    # RadauIIA(4) with Rana-LD couples row i to every earlier stage j through
+    # the mass (IA) or row i's stiffness (AI); each of rows 1..3 combines its
+    # solved rows first, so one apply forms 3 sparse products, with one shared
+    # stiffness or 4 per-stage Jacobians alike
     m = 6
     M, K = spd_pair(m, 21)
-    pc = build_preconditioner(PreconditionerKind.RANA_LD, radau_iia(4), M, K, 0.1, form,
-                              np.array([1, 4]))
+    Ks = [SparseMatrix.from_scipy(K.to_scipy() * (1.0 + i)) for i in range(4)]
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, radau_iia(4), M,
+                              Ks if per_stage else K, 0.1, form, np.array([1, 4]))
     r = np.random.default_rng(5).standard_normal(4 * m)
     expect = pc.apply(r)
     count = []
+    matmul = sp.csr_matrix.__matmul__
 
-    class Counting:
-        def __init__(self, A):
-            self.A = A
+    def counting(self, x):
+        count.append(1)
+        return matmul(self, x)
 
-        def to_scipy(self):
-            return self
-
-        def __matmul__(self, x):
-            count.append(1)
-            return self.A.to_scipy() @ x
-
-    pc.M, pc.Ks = Counting(pc.M), [Counting(K) for K in pc.Ks]
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
     np.testing.assert_array_equal(pc.apply(r), expect)
     assert len(count) == 3
+    dense = dense_pc_matrix(pc.A_tilde, form, M, Ks if per_stage else [K], 0.1, [1, 4])
+    np.testing.assert_allclose(expect, np.linalg.solve(dense, r), atol=1e-10)
 
 
 class TestEigen:
@@ -352,8 +363,15 @@ class TestEigen:
         with pytest.raises(FactorizationError):
             build_preconditioner(PreconditionerKind.EIGEN, alexander_dirk(), M, K, 0.1,
                                  Splitting.AI)
+        # one stiffness shared by both stages, given once or once per stage
+        shared = build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, K, 0.1)
+        listed = build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, [K, K], 0.1)
+        r = np.random.default_rng(6).standard_normal(2 * 3)
+        np.testing.assert_array_equal(listed.apply(r), shared.apply(r))
+        # distinct per-stage Jacobians have no common eigenbasis
+        K2 = SparseMatrix.from_scipy(K.to_scipy() * 2.0)
         with pytest.raises(ValueError):
-            build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, [K, K], 0.1)
+            build_preconditioner(PreconditionerKind.EIGEN, radau_iia(2), M, [K, K2], 0.1)
 
 
 def _random_spd(rng, m):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -986,6 +987,70 @@ class TestValidation:
         with pytest.raises(FormulationError, match="linear"):
             TimeStepper(case.problem, radau_iia(2), 0.1, pc_kind=PreconditionerKind.EIGEN)
 
+    def test_dirk_ignores_the_eigen_kind(self):
+        # DIRK solves one-stage systems by their exact blocks whatever pc_kind
+        # says, so unlike AI and IA (above) it does not refuse a tableau the
+        # eigen kind cannot build on
+        p = incompatible_heat_1d(8)
+        runs = []
+        for pc_kind in (None, PreconditionerKind.EIGEN):
+            st = TimeStepper(p, alexander_dirk(), 0.1, formulation=DIRK, pc_kind=pc_kind)
+            runs.append(advance(st, p, 0.3)[0])
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("form", [AI, DIRK])
+    @pytest.mark.parametrize("callback, value, path", [
+        ("load", lambda m: np.ones(1), "linear"),
+        ("load", lambda m: 1.0, "linear"),
+        ("load", lambda m: np.ones(m + 1), "linear"),
+        ("load", lambda m: np.ones(1), "newton"),
+        ("residual", lambda m: np.ones(1), "newton"),
+    ])
+    def test_callback_values_of_the_wrong_shape_are_refused(self, form, callback, value, path):
+        # numpy would broadcast a scalar or a length-1 value to every dof
+        p = incompatible_heat_1d(8)
+        if callback == "load":
+            bad = SemidiscreteProblem(m=p.m, mass=p.mass, stiffness=p.stiffness,
+                                      load=lambda t: value(p.m), dirichlet=p.dirichlet,
+                                      u0=p.u0)
+            if path == "newton":
+                # the linear problem's synthesized residual, driven by Newton
+                bad = as_newton(bad)
+        else:
+            bad = SemidiscreteProblem(m=p.m, mass=p.mass, residual=lambda t, u, v: value(p.m),
+                                      jacobian_u=lambda t, u: p.stiffness,
+                                      dirichlet=p.dirichlet, u0=p.u0)
+        shape = np.shape(value(p.m))
+        st = TimeStepper(bad, alexander_dirk(), 0.1, formulation=form,
+                         pc_kind=PreconditionerKind.BLOCK_LOWER)
+        with pytest.raises(ValueError,
+                           match=rf"^{callback} returned shape {re.escape(str(shape))}, "
+                                 rf"expected \({p.m},\)$"):
+            st.step(bad)
+
+    @pytest.mark.parametrize("form", [AI, DIRK])
+    def test_dae_boundary_values_need_an_invertible_tableau(self, form):
+        from implicitrk.tableaux import ButcherTableau
+
+        # 2-stage Lobatto IIIA: lower triangular, and A is singular
+        tab = ButcherTableau([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0], 2, 2,
+                             "lobatto-iiia:2")
+        p = incompatible_heat_1d(8)
+        with pytest.raises(FormulationError, match="DAE boundary values"):
+            TimeStepper(p, tab, 0.1, formulation=form)
+        # the ODE method reads no solve with A, and a problem without
+        # Dirichlet dofs needs no boundary values
+        u, _ = advance(TimeStepper(p, tab, 0.1, formulation=form, bc_method=BcMethod.ODE),
+                       p, 0.2)
+        assert np.all(np.isfinite(u))
+        free = heat_no_bc()
+        st = TimeStepper(free, tab, 0.1, formulation=form)
+        u, _ = advance(st, free, 0.2)
+        assert np.all(np.isfinite(u))
+        # a problem with Dirichlet dofs passed to step() is still refused there
+        with pytest.raises(ValueError, match="invertible"):
+            st.step(p)
+
     def test_dt_change_rebases_clock(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.25, krylov=TIGHT)
@@ -1072,6 +1137,42 @@ def test_one_step_matches_dense_constrained_stage_solve(
     np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
 
 
+def _dense_newton(residual, jacobian, M, A, times, dt, base, k, dofs):
+    """Undamped dense Newton, in place on the stage derivatives ``k`` (s, m),
+    for M k_i + F(t_i, U_i) = 0 with U_i = base + dt sum_j a_ij k_j and the
+    columns ``dofs`` of k held fixed.
+
+    True when it converges on the terms the stepper promises: the stepper's
+    Newton tolerances (rtol 1e-12, atol 1e-13 in ``_cubic_stepper``), through
+    Jacobians with cond < 1e6, within 60 iterations, and without
+    _STALL_WINDOW residuals in a row at or above the smallest residual
+    before them.
+    """
+    s, m = k.shape
+    free = np.setdiff1d(np.arange(m), dofs)
+    fidx = (np.arange(s)[:, None] * m + free[None, :]).ravel()
+    hist = []
+    for _ in range(60):
+        U = base[None, :] + dt * (A @ k)
+        R = np.stack([residual(ti, U[i], k[i]) for i, ti in enumerate(times)])
+        R[:, dofs] = 0.0
+        hist.append(np.linalg.norm(R))
+        if hist[-1] <= max(1e-12 * hist[0], 1e-13):
+            return True
+        if min(hist[-_STALL_WINDOW:]) >= min(hist[:-_STALL_WINDOW], default=np.inf):
+            return False
+        J = np.zeros((s * m, s * m))
+        for i in range(s):
+            Ji = jacobian(times[i], U[i])
+            for j in range(s):
+                J[i * m:(i + 1) * m, j * m:(j + 1) * m] = (i == j) * M + dt * A[i, j] * Ji
+        Jf = J[np.ix_(fidx, fidx)]
+        if not np.linalg.cond(Jf) < 1e6:
+            return False
+        k[:, free] -= np.linalg.solve(Jf, R[:, free].ravel()).reshape(s, -1)
+    return False
+
+
 def _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs):
     """One step of a random lumped cubic reaction M u' + K u + d u^3 = f(t),
     with DAE boundary data on ``dofs``, and its dense Newton oracle.
@@ -1079,12 +1180,12 @@ def _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs):
     Returns None for a tableau out of scope: weights summing to about zero,
     or cond(A) >= 1e3 once a stiffly accurate A has taken b as its last row.
     Otherwise returns (tab, problem, t0, expect).  ``expect`` is the step
-    result of undamped dense Newton on the stage-derivative equations
+    result of ``_dense_newton`` on the stage-derivative equations
     M k_i + K U_i + d U_i^3 - f(t_i) = 0, U_i = u0 + dt sum_j a_ij k_j, with
-    the DAE boundary values of k held fixed.  It is None when that Newton
-    does not converge on the terms the stepper promises: through Jacobians
-    with cond < 1e6, within 60 iterations, and without _STALL_WINDOW
-    residuals in a row at or above the smallest residual before them.
+    the DAE boundary values of k held fixed, or None when that Newton does
+    not converge.  The coupled forms solve all stages at once.  DIRK solves
+    them one at a time, as the stepper does, since each cubic stage equation
+    may have several roots.
     """
     from implicitrk.tableaux import ButcherTableau
 
@@ -1114,10 +1215,11 @@ def _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs):
         return M @ udot + K @ u + d * u**3 - (f0 + t * f1)
 
     def jacobian(t, u):
-        return SparseMatrix.from_dense(K + np.diag(3.0 * d * u**2))
+        return K + np.diag(3.0 * d * u**2)
 
     p = SemidiscreteProblem(
-        m=m, mass=SparseMatrix.from_dense(M), residual=residual, jacobian_u=jacobian,
+        m=m, mass=SparseMatrix.from_dense(M), residual=residual,
+        jacobian_u=lambda t, u: SparseMatrix.from_dense(jacobian(t, u)),
         dirichlet=DirichletBC(dofs, g=lambda t: g0 + t * g1), u0=u0,
     )
 
@@ -1125,28 +1227,14 @@ def _cubic_step_case(form, m, s, seed, dt, stiffly_accurate, dofs):
     W = np.array([g0 + ti * g1 - u0[dofs] for ti in times]) / dt
     k = np.zeros((s, m))
     k[:, dofs] = np.linalg.solve(A, W)
-    free = np.setdiff1d(np.arange(m), dofs)
-    fidx = (np.arange(s)[:, None] * m + free[None, :]).ravel()
-    hist = []
-    for _ in range(60):
-        U = u0[None, :] + dt * (A @ k)
-        R = np.stack([residual(ti, U[i], k[i]) for i, ti in enumerate(times)])
-        R[:, dofs] = 0.0
-        hist.append(np.linalg.norm(R))
-        if hist[-1] < 1e-13:
-            return tab, p, t0, u0 + dt * (b @ k)
-        if min(hist[-_STALL_WINDOW:]) >= min(hist[:-_STALL_WINDOW], default=np.inf):
-            break
-        J = np.zeros((s * m, s * m))
-        for i in range(s):
-            Ji = K + np.diag(3.0 * d * U[i] ** 2)
-            for j in range(s):
-                J[i * m:(i + 1) * m, j * m:(j + 1) * m] = (i == j) * M + dt * A[i, j] * Ji
-        Jf = J[np.ix_(fidx, fidx)]
-        if not np.linalg.cond(Jf) < 1e6:
-            break
-        k.ravel()[fidx] -= np.linalg.solve(Jf, R.ravel()[fidx])
-    return tab, p, t0, None
+    for rows in [slice(i, i + 1) for i in range(s)] if form is DIRK else [slice(0, s)]:
+        i = rows.start
+        # a DIRK stage's base is its explicit part, as in the stepper
+        base = u0 + dt * (A[i, :i] @ k[:i]) if i else u0
+        if not _dense_newton(residual, jacobian, M, A[rows, rows], times[rows], dt, base,
+                             k[rows], dofs):
+            return tab, p, t0, None
+    return tab, p, t0, u0 + dt * (b @ k)
 
 
 def _cubic_stepper(case, form, dt, pc_kind):
@@ -1181,6 +1269,29 @@ def test_one_nonlinear_step_matches_dense_newton(
     assert rep.newton_iters >= 1
     expect = case[3]
     np.testing.assert_allclose(u1, expect, rtol=0, atol=1e-8 * (1 + np.abs(expect).max()))
+
+
+# Two draws of the property above for DIRK (seed 180200757, m = 6, s = 3,
+# stiffly accurate, so a_33 = -0.748).  Its oracle was once one coupled
+# Newton solve, which found roots that DIRK's sequential stage solves do not
+# promise: it converged where the stepper stalls in stage 3, and at dt = 0.5
+# it found u[3] = 0.6775 where the stepper's stage solves give 3.7447.
+
+
+def test_dirk_oracle_stalls_where_the_stage_solve_stalls():
+    dofs = np.array([0, 1, 2, 3, 4])
+    case = _cubic_step_case(DIRK, 6, 3, 180200757, 0.4765625, True, dofs)
+    assert case is not None and case[3] is None
+    with pytest.raises(NonlinearDivergenceError, match="stalled residual"):
+        _cubic_stepper(case, DIRK, 0.4765625, None).step(case[1])
+
+
+def test_dirk_oracle_finds_the_root_of_each_stage_solve():
+    dofs = np.array([0, 1, 2, 4])
+    case = _cubic_step_case(DIRK, 6, 3, 180200757, 0.5, True, dofs)
+    u1, _ = _cubic_stepper(case, DIRK, 0.5, None).step(case[1])
+    assert u1[3] == pytest.approx(3.7447, abs=1e-4)
+    np.testing.assert_allclose(u1, case[3], rtol=0, atol=1e-12 * np.abs(case[3]).max())
 
 
 def test_dense_newton_oracle_refuses_a_stalling_draw():
