@@ -79,6 +79,13 @@ class StagePreconditioner:
     system C1 (x) M + dt * C2 (x) K_i, with (C1, C2) the ``form``
     coefficients of ``A_tilde`` and ``Ks`` one stiffness block per stage.
 
+    When every block is a fast diagonalization of one ``TensorPair`` (one
+    linear stiffness, Dirichlet data on the whole lattice boundary), the
+    sweep runs on the interior mode coefficients of all stages: there the
+    constrained M is I and K is lam_a + lam_b, so a coupling is an
+    elementwise product and a block solve a division by its D.  Boundary
+    rows pass through.
+
     Immutable once built; ``apply`` uses only local scratch, so a built
     preconditioner can be shared between concurrent solves.  ``exact`` says
     that the surrogate is the tableau's A, so that ``apply`` is the exact
@@ -96,23 +103,37 @@ class StagePreconditioner:
         self.block_factors = [
             factorize_block(M, Ks[i], C1[i, i], dt * C2[i, i], dofs) for i in range(self.s)
         ]
+        modes = [f.modes for f in self.block_factors]
+        self._pair = modes[0][0] if all(modes) else None
+        if self._pair is not None:
+            lam = self._pair.interior_eig[0]
+            lam_sum = lam[:, None] + lam[None, :]
+            self._D = [D for _, D in modes]
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
         backward = bool(np.triu(A_tilde, 1).any())
         order = range(self.s - 1, -1, -1) if backward else range(self.s)
-        # (i, J, [(C_iJ, mat)]) in sweep order: block row i's coupling to the
-        # solved rows J, C1_iJ M and dt C2_iJ K_i, where C_iJ is nonzero
+        # (i, J, terms) in sweep order: block row i's coupling to the solved
+        # rows J.  In modes, terms are (j, C1_ij + dt C2_ij (lam_a + lam_b))
+        # for each coupled j; otherwise (C_iJ, mat) for C1_iJ M and
+        # dt C2_iJ K_i, where C_iJ is nonzero
         self._sweep = []
         for i in order:
             J = slice(i + 1, self.s) if backward else slice(0, i)
-            self._sweep.append((i, J, [(C[i, J], mat.to_scipy())
-                                       for C, mat in ((C1, M), (dt * C2, Ks[i]))
-                                       if C[i, J].any()]))
+            if self._pair is not None:
+                terms = [(j, C1[i, j] + dt * C2[i, j] * lam_sum if C2[i, j] else C1[i, j])
+                         for j in range(self.s)[J] if C1[i, j] or C2[i, j]]
+            else:
+                terms = [(C[i, J], mat.to_scipy())
+                         for C, mat in ((C1, M), (dt * C2, Ks[i])) if C[i, J].any()]
+            self._sweep.append((i, J, terms))
 
     def apply(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"preconditioner expects length {self.n}, got {r.shape}")
+        if self._pair is not None:
+            return self._apply_in_modes(r)
         R = r.reshape(self.s, self.m)
         # every row is written before a later row reads it
         X = np.empty_like(R)
@@ -127,6 +148,17 @@ class StagePreconditioner:
                 acc -= p
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()
+
+    def _apply_in_modes(self, r) -> np.ndarray:
+        x = r.copy()
+        X = x.reshape(self.s, self._pair.n1, self._pair.n1)
+        Y = self._pair.to_modes(X)
+        for i, _, terms in self._sweep:
+            for j, c in terms:
+                Y[i] -= c * Y[j]
+            Y[i] /= self._D[i]
+        self._pair.from_modes(Y, X)
+        return x
 
 
 class EigenPreconditioner:

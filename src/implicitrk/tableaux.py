@@ -8,6 +8,7 @@ four-stage DIRK with weak stage order three (WSODIRK433).
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -48,7 +49,8 @@ class ButcherTableau:
     tableau can be shared freely across threads and cached preconditioners.
 
     ``weak_stage_order`` is nonzero only when the method's weak stage order
-    differs from (exceeds) its classical stage order.
+    differs from (exceeds) its classical stage order.  ``invertible`` is
+    computed once per tableau, on first access.
     """
 
     A: np.ndarray
@@ -86,7 +88,7 @@ class ButcherTableau:
     def lower_triangular(self) -> bool:
         return is_lower_triangular(self)
 
-    @property
+    @functools.cached_property
     def invertible(self) -> bool:
         return is_invertible(self)
 
@@ -317,14 +319,16 @@ def is_lower_triangular(tab: ButcherTableau) -> bool:
 
 
 def is_invertible(tab: ButcherTableau) -> bool:
-    """Invertibility of A via LU with partial pivoting."""
+    """Invertibility of A via LU with partial pivoting: every pivot above
+    1e-12 ||A||_F.  ``scipy.linalg.lu``, unlike ``lu_factor``, does not warn
+    on an exactly singular A, whose answer is just False."""
     import scipy.linalg
 
     norm = np.linalg.norm(tab.A)
     if norm == 0.0:
         return False
-    lu, _ = scipy.linalg.lu_factor(tab.A, check_finite=False)
-    return bool(np.min(np.abs(np.diag(lu))) > 1e-12 * norm)
+    U = scipy.linalg.lu(tab.A, check_finite=False)[2]
+    return bool(np.min(np.abs(np.diag(U))) > 1e-12 * norm)
 
 
 def order_condition_residuals(tab: ButcherTableau, p: int, stage_p: int | None = None):

@@ -322,6 +322,41 @@ def test_one_sparse_product_per_coupled_row(monkeypatch, form, per_stage):
     np.testing.assert_allclose(expect, np.linalg.solve(dense, r), atol=1e-10)
 
 
+TRIANGULAR_KINDS = [k for k in ALL_KINDS if k is not PreconditionerKind.EIGEN]
+
+
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", TRIANGULAR_KINDS, ids=lambda k: k.value)
+def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
+    # the blocks of an assembled pair are fast diagonalizations, so the sweep
+    # runs on mode coefficients: one transform each way, no sparse product,
+    # and the result of the masked sweep through SuperLU blocks
+    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
+    tab, dt = radau_iia(4), 0.05
+    pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
+    superlu = build_preconditioner(kind, tab, SparseMatrix.from_scipy(M.to_scipy()), K, dt,
+                                   form, dofs)
+    assert all(f.modes for f in pc.block_factors)
+    assert not any(f.modes for f in superlu.block_factors)
+    r = np.random.default_rng(8).standard_normal(tab.s * M.nrows)
+    expect = pc.apply(r)
+    calls = []
+    matmul = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__",
+                        lambda self, x: calls.append("csr") or matmul(self, x))
+    pair = M._tensor[0]
+    for name in ("to_modes", "from_modes"):
+        method = getattr(pair, name)
+        monkeypatch.setattr(pair, name, lambda *a, name=name, method=method:
+                            calls.append(name) or method(*a))
+    np.testing.assert_array_equal(pc.apply(r), expect)
+    assert calls == ["to_modes", "from_modes"]
+    ref = np.linalg.solve(dense_pc_matrix(pc.A_tilde, form, M, [K], dt, dofs), r)
+    scale = np.linalg.norm(ref)
+    assert np.linalg.norm(expect - ref) <= 1e-12 * scale
+    assert np.linalg.norm(expect - superlu.apply(r)) <= 1e-12 * scale
+
+
 class TestEigen:
     @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
     @pytest.mark.parametrize(

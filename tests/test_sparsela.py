@@ -22,6 +22,7 @@ from implicitrk.sparsela import (
     mm_read,
     mm_write,
     spmv,
+    tensor_product_pair,
 )
 
 
@@ -363,14 +364,54 @@ class TestTensorPath:
         with pytest.raises(FactorizationError, match="zero or not finite"):
             factorize_block(M, K, alpha, dt, bdofs)
 
-    def test_one_eigendecomposition_per_pair(self, monkeypatch):
-        eigh = scipy.linalg.eigh
-        calls = []
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sine basis needs no eigensolver")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
         M, K, bdofs = self.heat()
         for alpha, dt in [(1.0, 0.1), (1.0, 0.05), (2.5, 0.1), (-1.0, 0.01)]:
-            assert not uses_superlu(factorize_block(M, K, alpha, dt, bdofs))
-        assert len(calls) == 1
+            fac = factorize_block(M, K, alpha, dt, bdofs)
+            assert not uses_superlu(fac)
+            self.assert_solves(fac, M, K, alpha, dt, bdofs)
+
+    @pytest.mark.parametrize("N", [2, 3, 37, 128])
+    def test_closed_form_eigenpairs(self, N):
+        # K1i V = M1i V diag(lam) and V^T M1i V = I on the interior 1D pencil;
+        # at N = 2 the interior is one vertex with no off-diagonal
+        pair = assemble_heat(StructuredGrid(2, N))[0]._tensor[0]
+        M1i = pair.M1[1:-1, 1:-1].toarray()
+        K1i = pair.K1[1:-1, 1:-1].toarray()
+        lam, V = pair.interior_eig
+        assert V.shape == (N - 1, N - 1)
+        KV = K1i @ V
+        assert np.abs(KV - M1i @ V * lam).max() <= 1e-13 * np.abs(KV).max()
+        assert np.abs(V.T @ M1i @ V - np.eye(N - 1)).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["graded", "pentadiagonal"])
+    def test_tensor_pair_needs_a_uniform_tridiagonal_pair(self, case):
+        if case == "graded":
+            # P1 on the graded cells h_e of x_i = (i/6)^2
+            h = np.diff(np.linspace(0.0, 1.0, 7) ** 2)
+            M1 = sp.diags([h / 6, (np.r_[0.0, h] + np.r_[h, 0.0]) / 3, h / 6], [-1, 0, 1])
+            K1 = sp.diags([-1 / h, np.r_[0.0, 1 / h] + np.r_[1 / h, 0.0], -1 / h], [-1, 0, 1])
+        else:
+            M1, K1 = (A.to_scipy().tolil() for A in p1_pair(6))
+            M1[1, 3] = M1[3, 1] = 0.01
+        with pytest.raises(ValueError, match="tensor_product_pair needs"):
+            tensor_product_pair(M1, K1)
+
+    def test_subnormal_eigenvalue_refused_without_a_solve(self, monkeypatch):
+        M, K, bdofs = self.heat()
+        pair = M._tensor[0]
+        calls = []
+        for name in ("to_modes", "from_modes"):
+            monkeypatch.setattr(pair, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append("splu"))
+        # every D = 1e-320 is finite and nonzero, and 1/D overflows
+        with pytest.raises(FactorizationError, match="numerically singular"):
+            factorize_block(M, K, 1e-320, 0.0, bdofs)
+        assert calls == []
 
 
 def random_sparse_spd(m, seed):
@@ -402,6 +443,23 @@ class TestKronecker:
         dense = np.kron(C1, M.to_dense())
         v = rng.standard_normal(s * m)
         np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+    def test_identity_coefficients_are_not_multiplied(self, form):
+        # C1 = I under AI and C2 = I under IA: using V itself changes no bit
+        rng = np.random.default_rng(4)
+        s, m, dt = 4, 6, 0.15
+        C1, C2 = form.coefficients(radau_iia(s).A)
+        M = random_sparse_spd(m, 5)
+        Ks = [random_sparse_spd(m, 6 + i) for i in range(s)]
+        op = KroneckerStageOperator(C1, C2, M, Ks, dt)
+        V = rng.standard_normal((s, m))
+        U1, U2 = C1 @ V, C2 @ V
+        ref = np.empty((s, m))
+        for i, K in enumerate(Ks):
+            ref[i] = M.to_scipy() @ U1[i]
+            ref[i] += dt * (K.to_scipy() @ U2[i])
+        np.testing.assert_array_equal(op.apply(V.ravel()), ref.ravel())
 
     def test_ai_ia_consistency(self):
         # (A^-1 (x) M + dt I (x) K)(A (x) I) k = (I (x) M + dt A (x) K) k

@@ -1051,6 +1051,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="invertible"):
             st.step(p)
 
+    @pytest.mark.parametrize("form", [AI, DIRK])
+    def test_invertibility_is_computed_once_per_tableau(self, monkeypatch, form):
+        # construction and every step's DAE boundary values ask the same
+        # tableau; the answer is kept after the first LU of A
+        import implicitrk.tableaux as tableaux
+
+        calls = []
+        check = tableaux.is_invertible
+        monkeypatch.setattr(tableaux, "is_invertible", lambda tab: calls.append(tab) or check(tab))
+        p = incompatible_heat_1d(8)
+        _, reports = advance(TimeStepper(p, alexander_dirk(), 0.05, formulation=form), p, 0.2)
+        assert len(reports) == 4
+        assert len(calls) == 1
+
     def test_dt_change_rebases_clock(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.25, krylov=TIGHT)

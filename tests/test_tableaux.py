@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,14 @@ class TestFlags:
 
     def test_explicit_euler_not_invertible(self):
         assert not is_invertible(explicit_euler())
+
+    def test_exactly_singular_a_is_refused_quietly(self):
+        # 2-stage Lobatto IIIA: the LU of A has an exactly zero pivot
+        tab = ButcherTableau([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0], 2, 2, "lobatto-iiia:2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_invertible(tab)
+            assert not tab.invertible
 
     @pytest.mark.parametrize(
         "tab",
