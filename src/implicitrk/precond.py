@@ -23,12 +23,14 @@ from enum import Enum
 
 import numpy as np
 
+from .bcs import ConstrainedStageOperator
 from .sparsela import (
     FactorizationError,
     SparseMatrix,
     Splitting,
     factorize_block,
     stage_blocks,
+    tensor_pair_of,
 )
 from .tableaux import ButcherTableau, ldu_factor
 
@@ -84,7 +86,8 @@ class StagePreconditioner:
     sweep runs on the interior mode coefficients of all stages: there the
     constrained M is I and K is lam_a + lam_b, so a coupling is an
     elementwise product and a block solve a division by its D.  Boundary
-    rows pass through.
+    rows pass through.  Such a preconditioner P also forms op P in modes for
+    a constrained stage operator op of the same pair (``fused_product``).
 
     Immutable once built; ``apply`` uses only local scratch, so a built
     preconditioner can be shared between concurrent solves.  ``exact`` says
@@ -107,7 +110,7 @@ class StagePreconditioner:
         self._pair = modes[0][0] if all(modes) else None
         if self._pair is not None:
             lam = self._pair.interior_eig[0]
-            lam_sum = lam[:, None] + lam[None, :]
+            self._lam_sum = lam_sum = lam[:, None] + lam[None, :]
             self._D = [D for _, D in modes]
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
@@ -152,13 +155,46 @@ class StagePreconditioner:
     def _apply_in_modes(self, r) -> np.ndarray:
         x = r.copy()
         X = x.reshape(self.s, self._pair.n1, self._pair.n1)
-        Y = self._pair.to_modes(X)
+        self._pair.from_modes(self._sweep_modes(self._pair.to_modes(X)), X)
+        return x
+
+    def _sweep_modes(self, Y) -> np.ndarray:
+        """The sweep on the interior modes Y of all stages, in place."""
         for i, _, terms in self._sweep:
             for j, c in terms:
                 Y[i] -= c * Y[j]
             Y[i] /= self._D[i]
-        self._pair.from_modes(Y, X)
-        return x
+        return Y
+
+    def fused_product(self, op):
+        """The product v -> op.apply(self.apply(v)) computed in modes, for a
+        ``ConstrainedStageOperator`` ``op`` built from this preconditioner's
+        ``TensorPair`` and constrained on its whole boundary; None for every
+        other operator, and when this preconditioner does not sweep in modes.
+
+        On the interior, P v is the lattice x = V Y V^T of the sweep's modes
+        Y, zero on the boundary as op's column elimination sees it.  Since
+        V^T M1i V = I and V^T K1i V = diag(lam), the interior of op x is
+        G Z G^T with G = M1i V (``TensorPair.load_from_modes``) and
+        Z = C1 Y + dt (lam_a + lam_b) (C2 Y), where (C1, C2, dt) are op's
+        own.  The boundary rows of op x are those of x, which P passes
+        through from v.  So one transform each way replaces P's way back to
+        the lattice and op's sparse products.
+        """
+        if self._pair is None or not isinstance(op, ConstrainedStageOperator):
+            return None
+        kop, pair = op.op, self._pair
+        if kop.s != self.s or any(tensor_pair_of(kop.M, K, op.dofs) is not pair for K in kop.Ks):
+            return None
+
+        def product(v) -> np.ndarray:
+            x = np.array(v, dtype=float)
+            X = x.reshape(self.s, pair.n1, pair.n1)
+            Y = self._sweep_modes(pair.to_modes(X))
+            pair.load_from_modes(kop.apply_diagonal(Y, self._lam_sum), X)
+            return x
+
+        return product
 
 
 class EigenPreconditioner:

@@ -236,18 +236,33 @@ class TensorPair:
         self.boundary = np.flatnonzero(edge)
 
     @functools.cached_property
-    def interior_eig(self):
-        """(lam, V) with K1i V = M1i V diag(lam) and V^T M1i V = I, in closed
-        form: V = S diag(mu)^-1/2 and lam = kappa / mu."""
+    def _sine(self):
         n = self.n1 - 2
         k = np.arange(1, n + 1)
         # sin(pi r/(n+1)) with r = j k reduced modulo the period 2(n+1)
-        S = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
-        return self._kappa / self._mu, S / np.sqrt(self._mu)
+        return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
+
+    @functools.cached_property
+    def interior_eig(self):
+        """(lam, V) with K1i V = M1i V diag(lam) and V^T M1i V = I, in closed
+        form: V = S diag(mu)^-1/2 and lam = kappa / mu."""
+        return self._kappa / self._mu, self._sine / np.sqrt(self._mu)
+
+    @functools.cached_property
+    def _mass_basis(self):
+        # G = M1i V = V^-T, in closed form: M1i S = S diag(mu)
+        return self._sine * np.sqrt(self._mu)
 
     def to_modes(self, X) -> np.ndarray:
         """V^T X V of the interiors of the lattices X, shape (k, n1, n1): the
-        interior load in the eigenbasis, shape (k, n, n)."""
+        interior load in the eigenbasis, shape (k, n, n).  A complex X is
+        transformed as its real and imaginary lattices: two real products
+        cost about half of one complex product with V cast to complex."""
+        if np.iscomplexobj(X):
+            Y = np.empty((X.shape[0], self.n1 - 2, self.n1 - 2), dtype=X.dtype)
+            Y.real = self.to_modes(X.real.copy())
+            Y.imag = self.to_modes(X.imag.copy())
+            return Y
         V = self.interior_eig[1]
         return V.T @ X[:, 1:-1, 1:-1] @ V
 
@@ -255,9 +270,24 @@ class TensorPair:
         """Write V Y V^T, the lattice values of the mode coefficients Y, into
         the interiors of X.  Since V^T M1i V = I and V^T K1i V = diag(lam),
         x = V (V^T R V / D) V^T solves the interior equations whose mode
-        form is Y D = V^T R V."""
+        form is Y D = V^T R V.  A complex Y, written into a complex X, is
+        transformed as its real and imaginary parts."""
+        if np.iscomplexobj(Y):
+            self.from_modes(Y.real.copy(), X.real)
+            self.from_modes(Y.imag.copy(), X.imag)
+            return
         V = self.interior_eig[1]
         X[:, 1:-1, 1:-1] = V @ Y @ V.T
+
+    def load_from_modes(self, Y, X) -> None:
+        """Write G Y G^T, with G = M1i V = S diag(mu)^1/2, into the interiors
+        of the real lattices X: the inverse of ``to_modes``.  It is the
+        interior of M x for the lattice x that is zero on the boundary and
+        has the mode coefficients Y, since M1i V = G; and as K1i V = G
+        diag(lam), the interior of K x is that of the modes
+        (lam_a + lam_b) * Y."""
+        G = self._mass_basis
+        X[:, 1:-1, 1:-1] = G @ Y @ G.T
 
 
 def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
@@ -283,7 +313,7 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     return M, K
 
 
-def _tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dirichlet):
+def tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dirichlet):
     """The pair whose block alpha*M + dt*K, constrained on ``dirichlet``, the
     fast diagonalization solves exactly, or None."""
     if M._tensor is None or K._tensor is None:
@@ -383,7 +413,7 @@ def factorize_block(
     if M.shape != K.shape or M.nrows != M.ncols:
         raise ValueError("factorize_block needs square M, K of equal shape")
     dtype = np.result_type(alpha, dt, float)
-    pair = _tensor_pair_of(M, K, dirichlet)
+    pair = tensor_pair_of(M, K, dirichlet)
     if pair is not None:
         return BlockFactorization(_FastDiagonalization(pair, alpha, dt), M.nrows, dtype)
     C = alpha * M.to_scipy() + dt * K.to_scipy()
@@ -454,6 +484,17 @@ class KroneckerStageOperator:
             raise ValueError(f"operator expects length {self.n}, got {v.shape}")
         Ks = [K.to_scipy() for K in self.Ks]
         return self._product(self.M.to_scipy(), Ks, v.reshape(self.s, self.m)).ravel()
+
+    def apply_diagonal(self, Y, lam) -> np.ndarray:
+        """(C1 (x) I + dt * C2 (x) diag(lam)) Y for Y of shape (s, ...) and
+        lam of Y's trailing shape: the action in a basis where M is the
+        identity and every K_i is the diagonal lam."""
+        flat = Y.reshape(self.s, -1)
+        U1 = Y if self._C1_eye else (self.C1 @ flat).reshape(Y.shape)
+        U2 = Y if self._C2_eye else (self.C2 @ flat).reshape(Y.shape)
+        out = (self.dt * lam) * U2
+        out += U1
+        return out
 
     def apply_columns(self, cols, G) -> np.ndarray:
         """The action on a stage vector that is G, shape (s, len(cols)), on

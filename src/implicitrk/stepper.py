@@ -22,7 +22,11 @@ drives every system, and ``TimeStepper.step`` chooses the systems:
 A linear problem takes exactly one Newton correction per system.  When the
 factors built for it are exact (a one-stage block, the eigen kind, or a
 triangular kind on a triangular tableau) that correction is one application
-of them, with no FGMRES; every other system is solved by FGMRES.
+of them, with no FGMRES.  When they sweep in the modes of a tensor pair from
+which the constrained operator op is built too, GMRES runs on the product
+op P computed in modes (``StagePreconditioner.fused_product``), and the
+correction is P y; every other system is solved by FGMRES through the
+factors.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
 residual is M u' + K u - f.
@@ -128,10 +132,11 @@ class StepReport:
     ``newton_iters`` counts Newton corrections, summed over the step's stage
     systems.  A linear stage system takes exactly one, so a linear coupled
     step reports 1 and a linear DIRK step reports s.  ``krylov_iters`` counts
-    preconditioned solves: FGMRES iterations, and 1 for a direct solve through
-    exact factors, so a linear DIRK step reports s.  ``final_residual`` is
-    the last system's final FGMRES residual, or for a nonlinear problem its
-    final Newton residual; a direct solve measures none and reports NaN.
+    preconditioned solves: Krylov iterations (FGMRES, or GMRES on the product
+    op P), and 1 for a direct solve through exact factors, so a linear DIRK
+    step reports s.  ``final_residual`` is the last system's final Krylov
+    residual, or for a nonlinear problem its final Newton residual; a direct
+    solve measures none and reports NaN.
     ``newton_residuals`` holds the residual norms of nonlinear solves only.
     """
 
@@ -421,8 +426,14 @@ class TimeStepper:
         The factors are built from the Jacobians ``Ks`` when missing.  A
         linear problem's factors never go stale; when they are ``exact`` the
         system is solved by one application of them, with no FGMRES and no
-        apply of ``op``.  Every other system goes to FGMRES preconditioned by
-        the factors.  ``op`` carries the current Jacobians, so the correction
+        apply of ``op``.  When they offer a ``fused_product`` with ``op``,
+        GMRES, preconditioned on the right, solves op P y = rhs on that
+        product and the correction is P y: since P is fixed, these are the
+        iterates of FGMRES through P, at one product in modes per iteration
+        in place of an apply of P and one of ``op``.  The product is chosen
+        here, from the cached factors, and not from what fgmres is handed.
+        Every other system goes to FGMRES preconditioned by the factors.
+        ``op`` carries the current Jacobians, so the correction
         is exact up to the FGMRES tolerance; only the preconditioner lags.
         For a nonlinear problem, a solve through lagged factors that needs
         more iterations than their first solve marks them stale by dropping
@@ -430,9 +441,9 @@ class TimeStepper:
         through lagged factors, they are rebuilt and the solve is retried
         once; a failure through fresh factors drops them and raises.
 
-        Returns the correction, the preconditioned solves spent (FGMRES
+        Returns the correction, the preconditioned solves spent (Krylov
         iterations, failed attempt included, or 1 for a direct solve) and the
-        final FGMRES residual (NaN for a direct solve).
+        final Krylov residual (NaN for a direct solve).
         """
         if kind is None:
             res = fgmres(op, rhs, None, self.krylov)
@@ -443,6 +454,11 @@ class TimeStepper:
             key, entry = self._factors(system, kind, Ks)
             if not lag and entry.factors.exact:
                 return entry.factors.apply(rhs), 1, float("nan")
+            # a linear problem's inexact factors are a StagePreconditioner
+            fused = None if lag else entry.factors.fused_product(op)
+            if fused is not None:
+                res = fgmres(fused, rhs, None, self.krylov)
+                return entry.factors.apply(res.x), res.iterations, res.residuals[-1]
             try:
                 res = fgmres(op, rhs, entry.factors, self.krylov)
             except NonConvergenceError as exc:

@@ -74,3 +74,21 @@ def test_workload_forcings_meet_the_lattice_contract(bench, flat_load):
     expect = flat_load(grid, lambda t, *x: mms.f(t, *x) + mms.u(t, *x) ** 3, 0.3)
     got = -problem.residual(0.3, zero, zero)
     assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect)
+
+
+def test_traced_radau4_solve_is_bit_identical_and_takes_no_kronecker_apply(bench):
+    # the product op o P is chosen by the stepper from its own factors: the
+    # tracer hands fgmres a stand-in preconditioner, which must not change
+    # the path the solve takes
+    tracer, workloads = bench
+    harness = importlib.import_module("harness")
+    wl, params = workloads.WORKLOADS["heat-radau4-ia"], workloads.seeded_params(5)
+    plain = harness.run_solve(wl, params)
+    spans = tracer.Tracer()
+    with tracer.instrumented(spans):
+        traced = harness.run_solve(wl, params, spans)
+    assert plain.failed == traced.failed == 0
+    np.testing.assert_array_equal(traced.u, plain.u)
+    layers = spans.summary()
+    assert layers["sparsela.fgmres"]["calls"] == wl.steps
+    assert layers["sparsela.kron_apply"]["calls"] == 0

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from implicitrk.bcs import ConstrainedStageOperator
 from implicitrk.precond import (
     EIGEN_COND_MAX,
     PreconditionerKind,
@@ -355,6 +356,36 @@ def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(expect - ref) <= 1e-12 * scale
     assert np.linalg.norm(expect - superlu.apply(r)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("tab", [radau_iia(2), radau_iia(3), radau_iia(4)], ids=lambda t: t.name)
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", TRIANGULAR_KINDS, ids=lambda k: k.value)
+def test_fused_product_is_the_operator_after_the_preconditioner(kind, form, tab):
+    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
+    dt = 0.05
+    pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
+    op = ConstrainedStageOperator(KroneckerStageOperator(*form.coefficients(tab.A), M, K, dt),
+                                  dofs)
+    v = np.random.default_rng(9).standard_normal(tab.s * M.nrows)
+    expect = op.apply(pc.apply(v))
+    product = pc.fused_product(op)
+    assert np.linalg.norm(product(v) - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("case", ["superlu stiffness", "superlu preconditioner",
+                                  "partial dirichlet", "unconstrained"])
+def test_fused_product_needs_the_preconditioners_pair_and_boundary(case):
+    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
+    tab, form, dt = radau_iia(3), Splitting.IA, 0.05
+    copy = SparseMatrix.from_scipy(K.to_scipy())
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M,
+                              copy if case == "superlu preconditioner" else K, dt, form, dofs)
+    kop = KroneckerStageOperator(*form.coefficients(tab.A), M,
+                                 copy if case == "superlu stiffness" else K, dt)
+    op = {"partial dirichlet": ConstrainedStageOperator(kop, dofs[1:]),
+          "unconstrained": kop}.get(case, ConstrainedStageOperator(kop, dofs))
+    assert pc.fused_product(op) is None
 
 
 class TestEigen:

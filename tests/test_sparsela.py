@@ -401,6 +401,40 @@ class TestTensorPath:
         with pytest.raises(ValueError, match="tensor_product_pair needs"):
             tensor_product_pair(M1, K1)
 
+    def test_complex_transforms_are_those_of_the_real_and_imaginary_parts(self):
+        # a complex lattice goes through two real products, so its modes are
+        # exactly those of its parts, and likewise on the way back
+        pair = self.heat()[0]._tensor[0]
+        rng = np.random.default_rng(3)
+        Xr, Xi = rng.standard_normal((2, 3, self.N + 1, self.N + 1))
+        np.testing.assert_array_equal(pair.to_modes(Xr + 1j * Xi),
+                                      pair.to_modes(Xr) + 1j * pair.to_modes(Xi))
+        Yr, Yi = rng.standard_normal((2, 3, self.N - 1, self.N - 1))
+        Br, Bi = np.zeros((2, 3, self.N + 1, self.N + 1))
+        X = np.zeros((3, self.N + 1, self.N + 1), dtype=complex)
+        pair.from_modes(Yr + 1j * Yi, X)
+        pair.from_modes(Yr, Br)
+        pair.from_modes(Yi, Bi)
+        np.testing.assert_array_equal(X, Br + 1j * Bi)
+
+    def test_load_from_modes_is_the_mass_on_modes_and_inverts_to_modes(self):
+        M, K, _ = self.heat()
+        pair = M._tensor[0]
+        lam = pair.interior_eig[0]
+        Y = np.random.default_rng(4).standard_normal((2, self.N - 1, self.N - 1))
+        x = np.zeros((2, self.N + 1, self.N + 1))
+        pair.from_modes(Y, x)
+        interior = (slice(None), slice(1, -1), slice(1, -1))
+        for mat, modes in ((M, Y), (K, (lam[:, None] + lam[None, :]) * Y)):
+            got = np.zeros_like(x)
+            pair.load_from_modes(modes, got)
+            expect = (mat.to_scipy() @ x.reshape(2, -1).T).T.reshape(x.shape)
+            np.testing.assert_allclose(got[interior], expect[interior], rtol=0,
+                                       atol=1e-13 * np.abs(expect).max())
+            assert not got[:, [0, -1]].any() and not got[:, :, [0, -1]].any()
+        np.testing.assert_allclose(pair.to_modes(got), modes, rtol=0,
+                                   atol=1e-13 * np.abs(modes).max())
+
     def test_subnormal_eigenvalue_refused_without_a_solve(self, monkeypatch):
         M, K, bdofs = self.heat()
         pair = M._tensor[0]

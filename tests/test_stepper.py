@@ -27,6 +27,7 @@ from implicitrk.problems import (
     heat_mms_2d,
     incompatible_heat_1d,
     interpolate,
+    mms_heat_problem,
     prothero_robinson,
     riccati,
 )
@@ -826,6 +827,37 @@ def test_direct_and_fgmres_steps_report_the_same_counts(form, tab, pc_kind):
     assert direct == krylov
     assert direct[0][:2] == ((tab.s, tab.s) if form is DIRK else (1, 1))
     np.testing.assert_allclose(u_direct, u_krylov, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("form, kind", [(IA, PreconditionerKind.RANA_LD),
+                                        (AI, PreconditionerKind.BLOCK_UPPER),
+                                        (VALUE, PreconditionerKind.BLOCK_DIAGONAL)])
+def test_tensor_pair_linear_step_matches_the_unfused_step(monkeypatch, form, kind):
+    # GMRES on op o P in modes, then x = P y, takes the iterates of FGMRES
+    # through P, restarts included; a stiffness copy makes SuperLU blocks,
+    # which take the unfused path
+    from implicitrk.sparsela import KroneckerStageOperator
+
+    fused = mms_heat_problem(StructuredGrid(2, 8))
+    unfused = SemidiscreteProblem(
+        m=fused.m, mass=fused.mass, stiffness=SparseMatrix.from_scipy(fused.stiffness.to_scipy()),
+        load=fused.load, dirichlet=fused.dirichlet, u0=fused.u0,
+    )
+    krylov = KrylovSettings(restart=2)
+    applies = []
+    kron_apply = KroneckerStageOperator.apply
+    monkeypatch.setattr(KroneckerStageOperator, "apply",
+                        lambda self, v: applies.append(1) or kron_apply(self, v))
+    runs = []
+    for p in (unfused, fused):
+        applies.clear()
+        st = TimeStepper(p, radau_iia(4), 1.0 / 8, formulation=form, pc_kind=kind, krylov=krylov)
+        u, rep = st.step(p)
+        runs.append((u, rep.krylov_iters, len(applies)))
+    (u_unfused, its_unfused, applies_unfused), (u_fused, its_fused, applies_fused) = runs
+    assert its_fused == its_unfused > 2
+    assert applies_unfused > 0 and applies_fused == 0
+    assert np.linalg.norm(u_fused - u_unfused) <= 1e-12 * np.linalg.norm(u_unfused)
 
 
 class TestInvariants:
