@@ -12,7 +12,9 @@ of Atilde, so it is preconditioned with the stage operator's own rule:
 
 A triangular surrogate gives diagonal blocks C1_ii M + dt C2_ii K_i, solved
 by one sweep over the stages, backward when Atilde has a nonzero entry above
-its diagonal and forward otherwise.  A preconditioner whose surrogate is A
+its diagonal and forward otherwise; on a tensor pair the sweep runs in the
+sine coordinates of the lattice interiors, where GMRES solves a linear stage
+system of the same pair as well.  A preconditioner whose surrogate is A
 itself (the eigen kind, or a triangular kind on a triangular tableau) is
 ``exact``: a linear stage system can be solved by one application of it.
 """
@@ -29,6 +31,7 @@ from .sparsela import (
     SparseMatrix,
     Splitting,
     factorize_block,
+    fgmres,
     stage_blocks,
     tensor_pair_of,
 )
@@ -83,16 +86,17 @@ class StagePreconditioner:
 
     When every block is a fast diagonalization of one ``TensorPair`` (one
     linear stiffness, Dirichlet data on the whole lattice boundary), the
-    sweep runs on the interior mode coefficients of all stages: there the
-    constrained M is I and K is lam_a + lam_b, so a coupling is an
-    elementwise product and a block solve a division by its D.  Boundary
-    rows pass through.  Such a preconditioner P also forms op P in modes for
-    a constrained stage operator op of the same pair (``fused_product``).
+    sweep runs in the sine coordinates of the interiors of all stages
+    (``TensorPair.sine``), where the constrained M is mu_a mu_b and K is
+    mu_a mu_b (lam_a + lam_b): a coupling is an elementwise product and a
+    block solve a division.  Boundary rows pass through.  Such a
+    preconditioner also runs GMRES in those coordinates (``sine_solve``).
 
-    Immutable once built; ``apply`` uses only local scratch, so a built
-    preconditioner can be shared between concurrent solves.  ``exact`` says
-    that the surrogate is the tableau's A, so that ``apply`` is the exact
-    inverse of the constrained stage operator built from the same M and Ks.
+    Immutable once built; ``apply`` and ``sine_solve`` use only local
+    scratch, so a built preconditioner can be shared between concurrent
+    solves.  ``exact`` says that the surrogate is the tableau's A, so that
+    ``apply`` is the exact inverse of the constrained stage operator built
+    from the same M and Ks.
     """
 
     def __init__(self, A_tilde, form, M, Ks, dt, dofs, exact):
@@ -109,8 +113,9 @@ class StagePreconditioner:
         modes = [f.modes for f in self.block_factors]
         self._pair = modes[0][0] if all(modes) else None
         if self._pair is not None:
-            lam = self._pair.interior_eig[0]
+            lam, mu = self._pair.interior_eig
             self._lam_sum = lam_sum = lam[:, None] + lam[None, :]
+            self._mu_prod = mu[:, None] * mu[None, :]
             self._D = [D for _, D in modes]
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
@@ -136,7 +141,11 @@ class StagePreconditioner:
         if r.shape != (self.n,):
             raise ValueError(f"preconditioner expects length {self.n}, got {r.shape}")
         if self._pair is not None:
-            return self._apply_in_modes(r)
+            x = r.copy()
+            X = x.reshape(self.s, self._pair.n1, self._pair.n1)
+            self._pair.sine(X)
+            self._sweep_to_lattice(X)
+            return x
         R = r.reshape(self.s, self.m)
         # every row is written before a later row reads it
         X = np.empty_like(R)
@@ -152,49 +161,56 @@ class StagePreconditioner:
             X[i] = self.block_factors[i].solve(acc)
         return X.ravel()
 
-    def _apply_in_modes(self, r) -> np.ndarray:
-        x = r.copy()
-        X = x.reshape(self.s, self._pair.n1, self._pair.n1)
-        self._pair.from_modes(self._sweep_modes(self._pair.to_modes(X)), X)
-        return x
-
     def _sweep_modes(self, Y) -> np.ndarray:
-        """The sweep on the interior modes Y of all stages, in place."""
+        """The sweep on the interiors Y of all stages, in place, with M and
+        every K_i taken as I and lam_a + lam_b."""
         for i, _, terms in self._sweep:
             for j, c in terms:
                 Y[i] -= c * Y[j]
             Y[i] /= self._D[i]
         return Y
 
-    def fused_product(self, op):
-        """The product v -> op.apply(self.apply(v)) computed in modes, for a
-        ``ConstrainedStageOperator`` ``op`` built from this preconditioner's
-        ``TensorPair`` and constrained on its whole boundary; None for every
-        other operator, and when this preconditioner does not sweep in modes.
+    def _sweep_to_lattice(self, X) -> None:
+        """Overwrite X, the sine coordinates of all stages, with the lattice
+        values of P applied to it."""
+        Y = X[:, 1:-1, 1:-1]
+        self._sweep_modes(Y)
+        Y /= self._mu_prod
+        self._pair.sine(X)
 
-        On the interior, P v is the lattice x = V Y V^T of the sweep's modes
-        Y, zero on the boundary as op's column elimination sees it.  Since
-        V^T M1i V = I and V^T K1i V = diag(lam), the interior of op x is
-        G Z G^T with G = M1i V (``TensorPair.load_from_modes``) and
-        Z = C1 Y + dt (lam_a + lam_b) (C2 Y), where (C1, C2, dt) are op's
-        own.  The boundary rows of op x are those of x, which P passes
-        through from v.  So one transform each way replaces P's way back to
-        the lattice and op's sparse products.
+    def sine_solve(self, op, rhs, settings):
+        """Solve op x = rhs by GMRES on op P in sine coordinates, for a
+        ``ConstrainedStageOperator`` ``op`` of this preconditioner's
+        ``TensorPair`` constrained on its whole boundary: the
+        ``FgmresResult``, with x in lattice values, or None for every other
+        operator and when this preconditioner does not sweep in modes.
+
+        With F the ``TensorPair.sine`` of every stage, GMRES solves
+        (F op P F) y = F rhs and x = P F y.  On the interior, P is the sweep
+        divided by mu_a mu_b and op is mu_a mu_b (C1 + dt C2 (lam_a + lam_b)),
+        so a product is the sweep and op's ``apply_diagonal``, with no
+        transform; boundary rows are the identity.  F is orthogonal, so the
+        iterates are those of FGMRES through P on op, with the same ||rhs||.
         """
         if self._pair is None or not isinstance(op, ConstrainedStageOperator):
             return None
         kop, pair = op.op, self._pair
         if kop.s != self.s or any(tensor_pair_of(kop.M, K, op.dofs) is not pair for K in kop.Ks):
             return None
+        shape = (self.s, pair.n1, pair.n1)
 
         def product(v) -> np.ndarray:
-            x = np.array(v, dtype=float)
-            X = x.reshape(self.s, pair.n1, pair.n1)
-            Y = self._sweep_modes(pair.to_modes(X))
-            pair.load_from_modes(kop.apply_diagonal(Y, self._lam_sum), X)
-            return x
+            y = np.array(v, dtype=float)
+            Y = y.reshape(shape)[:, 1:-1, 1:-1]
+            # the sweep runs faster on a contiguous copy than on the view
+            Y[...] = kop.apply_diagonal(self._sweep_modes(Y.copy()), self._lam_sum)
+            return y
 
-        return product
+        b = np.array(rhs, dtype=float)
+        pair.sine(b.reshape(shape))
+        res = fgmres(product, b, None, settings)
+        self._sweep_to_lattice(res.x.reshape(shape))
+        return res
 
 
 class EigenPreconditioner:

@@ -215,6 +215,7 @@ class TensorPair:
     S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)) diagonalizes both (Lynch, Rice &
     Thomas, Numer. Math. 6 (1964)): S M1i S = diag(mu), S K1i S = diag(kappa)
     with mu_k = a_m + 2 b_m cos(pi k/(n+1)) and kappa_k likewise.
+    ``interior_eig`` is (lam, mu) with lam = kappa / mu.
     """
 
     def __init__(self, M1: sp.csr_matrix, K1: sp.csr_matrix):
@@ -226,10 +227,10 @@ class TensorPair:
         n = self.n1 - 2
         cos = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         (am, bm), (ak, bk) = _constant_tridiagonal(M1, "M1"), _constant_tridiagonal(K1, "K1")
-        self._mu = am + 2.0 * bm * cos
-        self._kappa = ak + 2.0 * bk * cos
-        if not np.all(self._mu > 0.0):
+        mu, kappa = am + 2.0 * bm * cos, ak + 2.0 * bk * cos
+        if not np.all(mu > 0.0):
             raise ValueError("tensor_product_pair needs M1 positive definite on the interior")
+        self.interior_eig = (kappa / mu, mu)
         edge = np.zeros((self.n1, self.n1), dtype=bool)
         edge[[0, -1], :] = edge[:, [0, -1]] = True
         # sorted indices of the lattice's boundary vertices
@@ -242,52 +243,18 @@ class TensorPair:
         # sin(pi r/(n+1)) with r = j k reduced modulo the period 2(n+1)
         return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
 
-    @functools.cached_property
-    def interior_eig(self):
-        """(lam, V) with K1i V = M1i V diag(lam) and V^T M1i V = I, in closed
-        form: V = S diag(mu)^-1/2 and lam = kappa / mu."""
-        return self._kappa / self._mu, self._sine / np.sqrt(self._mu)
-
-    @functools.cached_property
-    def _mass_basis(self):
-        # G = M1i V = V^-T, in closed form: M1i S = S diag(mu)
-        return self._sine * np.sqrt(self._mu)
-
-    def to_modes(self, X) -> np.ndarray:
-        """V^T X V of the interiors of the lattices X, shape (k, n1, n1): the
-        interior load in the eigenbasis, shape (k, n, n).  A complex X is
-        transformed as its real and imaginary lattices: two real products
-        cost about half of one complex product with V cast to complex."""
+    def sine(self, X) -> None:
+        """Overwrite the interiors of the lattices X, shape (k, n1, n1), with
+        S X S, their sine coordinates, and keep the boundary: as S S = I this
+        is its own inverse, and it keeps the 2-norm.  A complex X is
+        transformed as its real and imaginary lattices, in place: two real
+        products cost less than one complex product with S cast to complex."""
         if np.iscomplexobj(X):
-            Y = np.empty((X.shape[0], self.n1 - 2, self.n1 - 2), dtype=X.dtype)
-            Y.real = self.to_modes(X.real.copy())
-            Y.imag = self.to_modes(X.imag.copy())
-            return Y
-        V = self.interior_eig[1]
-        return V.T @ X[:, 1:-1, 1:-1] @ V
-
-    def from_modes(self, Y, X) -> None:
-        """Write V Y V^T, the lattice values of the mode coefficients Y, into
-        the interiors of X.  Since V^T M1i V = I and V^T K1i V = diag(lam),
-        x = V (V^T R V / D) V^T solves the interior equations whose mode
-        form is Y D = V^T R V.  A complex Y, written into a complex X, is
-        transformed as its real and imaginary parts."""
-        if np.iscomplexobj(Y):
-            self.from_modes(Y.real.copy(), X.real)
-            self.from_modes(Y.imag.copy(), X.imag)
+            self.sine(X.real)
+            self.sine(X.imag)
             return
-        V = self.interior_eig[1]
-        X[:, 1:-1, 1:-1] = V @ Y @ V.T
-
-    def load_from_modes(self, Y, X) -> None:
-        """Write G Y G^T, with G = M1i V = S diag(mu)^1/2, into the interiors
-        of the real lattices X: the inverse of ``to_modes``.  It is the
-        interior of M x for the lattice x that is zero on the boundary and
-        has the mode coefficients Y, since M1i V = G; and as K1i V = G
-        diag(lam), the interior of K x is that of the modes
-        (lam_a + lam_b) * Y."""
-        G = self._mass_basis
-        X[:, 1:-1, 1:-1] = G @ Y @ G.T
+        S = self._sine
+        X[:, 1:-1, 1:-1] = S @ X[:, 1:-1, 1:-1] @ S
 
 
 def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
@@ -330,16 +297,17 @@ class _FastDiagonalization:
     """Exact solve of the block alpha*M + dt*K of a tensor pair whose
     boundary rows and columns are replaced by the identity.
 
-    The block is the identity on the boundary.  On the interior it is
-    (V^-T (x) V^-T) diag(alpha + dt*(lam_i + lam_j)) (V^-1 (x) V^-1), so
-    x = V (V^T R V / D) V^T for the interior values R of the right-hand side
-    (``TensorPair.from_modes``).  A complex alpha or dt makes D, and the
-    solution, complex; (lam, V) stay real and shared.  A D whose reciprocal
-    is not finite is refused here, so the block needs no probe solve.
+    The block is the identity on the boundary.  In the sine coordinates of
+    the interior (``TensorPair.sine``) it is the diagonal
+    mu_a mu_b D with D = alpha + dt*(lam_a + lam_b), so the solve is one
+    transform, a division and the transform back.  A complex alpha or dt
+    makes D, and the solution, complex; S, lam and mu stay real and shared.
+    A D whose reciprocal is not finite is refused here, so the block needs
+    no probe solve.
     """
 
     def __init__(self, pair: TensorPair, alpha: complex, dt: complex):
-        lam, _ = pair.interior_eig
+        lam, mu = pair.interior_eig
         with np.errstate(all="ignore"):
             self.D = alpha + dt * (lam[:, None] + lam[None, :])
             regular = np.all(np.isfinite(self.D)) and np.all(np.isfinite(1.0 / self.D))
@@ -348,13 +316,16 @@ class _FastDiagonalization:
                 "stage block is numerically singular: an eigenvalue alpha + dt*(lam_i + lam_j) "
                 "is zero or not finite, or its reciprocal overflows"
             )
+        self._divisor = mu[:, None] * mu[None, :] * self.D
         self.pair = pair
 
     def solve(self, b) -> np.ndarray:
         x = np.array(b, dtype=self.D.dtype)
         # one lattice per right-hand side: b may be (n,) or (n, k), as for SuperLU
         X = x.T.reshape(-1, self.pair.n1, self.pair.n1)
-        self.pair.from_modes(self.pair.to_modes(X) / self.D, X)
+        self.pair.sine(X)
+        X[:, 1:-1, 1:-1] /= self._divisor
+        self.pair.sine(X)
         return x
 
 
@@ -383,8 +354,9 @@ class BlockFactorization:
 
     @property
     def modes(self):
-        """(pair, D) of a fast diagonalization, which divides the interior
-        mode coefficients of its ``TensorPair`` by D; None for SuperLU."""
+        """(pair, D) of a fast diagonalization, whose block is
+        mu_a mu_b D in the sine coordinates of its ``TensorPair``; None for
+        SuperLU."""
         lu = self._lu
         return (lu.pair, lu.D) if isinstance(lu, _FastDiagonalization) else None
 

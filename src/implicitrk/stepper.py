@@ -23,10 +23,10 @@ A linear problem takes exactly one Newton correction per system.  When the
 factors built for it are exact (a one-stage block, the eigen kind, or a
 triangular kind on a triangular tableau) that correction is one application
 of them, with no FGMRES.  When they sweep in the modes of a tensor pair from
-which the constrained operator op is built too, GMRES runs on the product
-op P computed in modes (``StagePreconditioner.fused_product``), and the
-correction is P y; every other system is solved by FGMRES through the
-factors.
+which the constrained operator op is built too, GMRES runs on op P in the
+pair's sine coordinates, where a product needs no transform
+(``StagePreconditioner.sine_solve``); every other system is solved by
+FGMRES through the factors.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
 residual is M u' + K u - f.
@@ -132,11 +132,12 @@ class StepReport:
     ``newton_iters`` counts Newton corrections, summed over the step's stage
     systems.  A linear stage system takes exactly one, so a linear coupled
     step reports 1 and a linear DIRK step reports s.  ``krylov_iters`` counts
-    preconditioned solves: Krylov iterations (FGMRES, or GMRES on the product
-    op P), and 1 for a direct solve through exact factors, so a linear DIRK
-    step reports s.  ``final_residual`` is the last system's final Krylov
-    residual, or for a nonlinear problem its final Newton residual; a direct
-    solve measures none and reports NaN.
+    preconditioned solves: Krylov iterations (FGMRES, or GMRES on op P in
+    sine coordinates), and 1 for a direct solve through exact factors, so a
+    linear DIRK step reports s.  ``final_residual`` is the last system's
+    final Krylov residual, the same in sine coordinates as in lattice values,
+    or for a nonlinear problem its final Newton residual; a direct solve
+    measures none and reports NaN.
     ``newton_residuals`` holds the residual norms of nonlinear solves only.
     """
 
@@ -426,12 +427,13 @@ class TimeStepper:
         The factors are built from the Jacobians ``Ks`` when missing.  A
         linear problem's factors never go stale; when they are ``exact`` the
         system is solved by one application of them, with no FGMRES and no
-        apply of ``op``.  When they offer a ``fused_product`` with ``op``,
-        GMRES, preconditioned on the right, solves op P y = rhs on that
-        product and the correction is P y: since P is fixed, these are the
-        iterates of FGMRES through P, at one product in modes per iteration
-        in place of an apply of P and one of ``op``.  The product is chosen
-        here, from the cached factors, and not from what fgmres is handed.
+        apply of ``op``.  When they solve ``op`` in sine coordinates
+        (``sine_solve``), GMRES, preconditioned on the right, solves
+        op P y = rhs there, with one transform of rhs and one of the
+        correction P y: since P is fixed, these are the iterates of FGMRES
+        through P, at one per-mode product per iteration in place of an apply
+        of P and one of ``op``.  That path is chosen here, from the cached
+        factors, and not from what fgmres is handed.
         Every other system goes to FGMRES preconditioned by the factors.
         ``op`` carries the current Jacobians, so the correction
         is exact up to the FGMRES tolerance; only the preconditioner lags.
@@ -455,10 +457,9 @@ class TimeStepper:
             if not lag and entry.factors.exact:
                 return entry.factors.apply(rhs), 1, float("nan")
             # a linear problem's inexact factors are a StagePreconditioner
-            fused = None if lag else entry.factors.fused_product(op)
-            if fused is not None:
-                res = fgmres(fused, rhs, None, self.krylov)
-                return entry.factors.apply(res.x), res.iterations, res.residuals[-1]
+            res = None if lag else entry.factors.sine_solve(op, rhs, self.krylov)
+            if res is not None:
+                return res.x, res.iterations, res.residuals[-1]
             try:
                 res = fgmres(op, rhs, entry.factors, self.krylov)
             except NonConvergenceError as exc:

@@ -14,7 +14,7 @@ import pytest
 from implicitrk import problems, tableaux
 from implicitrk.precond import PreconditionerKind
 from implicitrk.problems import StructuredGrid
-from implicitrk.sparsela import fgmres
+from implicitrk.sparsela import TensorPair, fgmres
 from implicitrk.stepper import StageFormulation, TimeStepper
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,14 +76,18 @@ def test_workload_forcings_meet_the_lattice_contract(bench, flat_load):
     assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect)
 
 
-def test_traced_radau4_solve_is_bit_identical_and_takes_no_kronecker_apply(bench):
-    # the product op o P is chosen by the stepper from its own factors: the
-    # tracer hands fgmres a stand-in preconditioner, which must not change
-    # the path the solve takes
+def test_traced_radau4_solve_is_bit_identical_and_takes_no_kronecker_apply(bench, monkeypatch):
+    # GMRES in sine coordinates is chosen by the stepper from its own factors:
+    # the tracer hands fgmres a stand-in preconditioner, which must not change
+    # the path the solve takes.  Each stage system transforms its right-hand
+    # side once and its correction once, and no iteration transforms
     tracer, workloads = bench
     harness = importlib.import_module("harness")
     wl, params = workloads.WORKLOADS["heat-radau4-ia"], workloads.seeded_params(5)
     plain = harness.run_solve(wl, params)
+    transforms = []
+    sine = TensorPair.sine
+    monkeypatch.setattr(TensorPair, "sine", lambda self, X: transforms.append(1) or sine(self, X))
     spans = tracer.Tracer()
     with tracer.instrumented(spans):
         traced = harness.run_solve(wl, params, spans)
@@ -92,3 +96,4 @@ def test_traced_radau4_solve_is_bit_identical_and_takes_no_kronecker_apply(bench
     layers = spans.summary()
     assert layers["sparsela.fgmres"]["calls"] == wl.steps
     assert layers["sparsela.kron_apply"]["calls"] == 0
+    assert len(transforms) == 2 * wl.steps

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from implicitrk.bcs import ConstrainedStageOperator
+from implicitrk import precond
+from implicitrk.bcs import ConstrainedStageOperator, DirichletBC, constrain_stage_system
 from implicitrk.precond import (
     EIGEN_COND_MAX,
     PreconditionerKind,
@@ -330,8 +331,8 @@ TRIANGULAR_KINDS = [k for k in ALL_KINDS if k is not PreconditionerKind.EIGEN]
 @pytest.mark.parametrize("kind", TRIANGULAR_KINDS, ids=lambda k: k.value)
 def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
     # the blocks of an assembled pair are fast diagonalizations, so the sweep
-    # runs on mode coefficients: one transform each way, no sparse product,
-    # and the result of the masked sweep through SuperLU blocks
+    # runs in sine coordinates: one self-inverse transform each way, no
+    # sparse product, and the result of the masked sweep through SuperLU blocks
     M, K, dofs = assemble_heat(StructuredGrid(2, 6))
     tab, dt = radau_iia(4), 0.05
     pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
@@ -346,36 +347,77 @@ def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
     monkeypatch.setattr(sp.csr_matrix, "__matmul__",
                         lambda self, x: calls.append("csr") or matmul(self, x))
     pair = M._tensor[0]
-    for name in ("to_modes", "from_modes"):
-        method = getattr(pair, name)
-        monkeypatch.setattr(pair, name, lambda *a, name=name, method=method:
-                            calls.append(name) or method(*a))
+    monkeypatch.setattr(pair, "sine", lambda X, sine=pair.sine: calls.append("sine") or sine(X))
     np.testing.assert_array_equal(pc.apply(r), expect)
-    assert calls == ["to_modes", "from_modes"]
+    assert calls == ["sine", "sine"]
     ref = np.linalg.solve(dense_pc_matrix(pc.A_tilde, form, M, [K], dt, dofs), r)
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(expect - ref) <= 1e-12 * scale
     assert np.linalg.norm(expect - superlu.apply(r)) <= 1e-12 * scale
 
 
+def sine_solve_product(monkeypatch, pc, op, rhs):
+    """The result of ``pc.sine_solve(op, rhs)`` and the product its GMRES ran on."""
+    seen = []
+    run = precond.fgmres
+    monkeypatch.setattr(precond, "fgmres", lambda A, *a: seen.append(A) or run(A, *a))
+    res = pc.sine_solve(op, rhs, KrylovSettings(rtol=1e-12))
+    return res, seen[0] if seen else None
+
+
+def constrained_heat_system(tab, form, dt, N=6):
+    """The stage system of ``tab`` on the N x N heat pair: its mass,
+    stiffness, boundary dofs, constrained operator and a right-hand side
+    with nonzero boundary values."""
+    M, K, dofs = assemble_heat(StructuredGrid(2, N))
+    op = KroneckerStageOperator(*form.coefficients(tab.A), M, K, dt)
+    rng = np.random.default_rng(9)
+    bc = DirichletBC(dofs, lambda t: 0.0)
+    cop, rhs = constrain_stage_system(op, rng.standard_normal(op.n), bc,
+                                      rng.standard_normal((tab.s, len(dofs))))
+    return M, K, dofs, cop, rhs
+
+
 @pytest.mark.parametrize("tab", [radau_iia(2), radau_iia(3), radau_iia(4)], ids=lambda t: t.name)
 @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", TRIANGULAR_KINDS, ids=lambda k: k.value)
-def test_fused_product_is_the_operator_after_the_preconditioner(kind, form, tab):
-    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
+def test_sine_solve_runs_gmres_on_the_transformed_operator_after_the_preconditioner(
+        monkeypatch, kind, form, tab):
+    # with F the sine transform of every stage, GMRES runs on F op P F, which
+    # needs no transform, and the correction solves op x = rhs
     dt = 0.05
+    M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt)
     pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
-    op = ConstrainedStageOperator(KroneckerStageOperator(*form.coefficients(tab.A), M, K, dt),
-                                  dofs)
-    v = np.random.default_rng(9).standard_normal(tab.s * M.nrows)
-    expect = op.apply(pc.apply(v))
-    product = pc.fused_product(op)
+    res, product = sine_solve_product(monkeypatch, pc, op, rhs)
+    pair = M._tensor[0]
+    shape = (tab.s, pair.n1, pair.n1)
+
+    def sine(v):
+        v = v.copy()
+        pair.sine(v.reshape(shape))
+        return v
+
+    v = np.random.default_rng(10).standard_normal(tab.s * M.nrows)
+    expect = sine(op.apply(pc.apply(sine(v))))
     assert np.linalg.norm(product(v) - expect) <= 1e-13 * np.linalg.norm(expect)
+    assert np.linalg.norm(op.apply(res.x) - rhs) <= 1e-11 * np.linalg.norm(rhs)
+
+
+def test_sine_solve_measures_the_lattice_right_hand_side(monkeypatch):
+    # the relative target of GMRES is taken from ||rhs|| of the constrained
+    # lattice system, boundary rows included: F keeps the norm
+    tab, form, dt = radau_iia(4), Splitting.IA, 1.0 / 16
+    M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt, N=16)
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M, K, dt, form, dofs)
+    res, _ = sine_solve_product(monkeypatch, pc, op, rhs)
+    normb = np.linalg.norm(rhs)
+    assert abs(res.residuals[0] - normb) <= 1e-14 * normb
+    assert np.linalg.norm(rhs.reshape(tab.s, -1)[:, dofs]) > 0.1 * normb
 
 
 @pytest.mark.parametrize("case", ["superlu stiffness", "superlu preconditioner",
                                   "partial dirichlet", "unconstrained"])
-def test_fused_product_needs_the_preconditioners_pair_and_boundary(case):
+def test_sine_solve_needs_the_preconditioners_pair_and_boundary(monkeypatch, case):
     M, K, dofs = assemble_heat(StructuredGrid(2, 6))
     tab, form, dt = radau_iia(3), Splitting.IA, 0.05
     copy = SparseMatrix.from_scipy(K.to_scipy())
@@ -385,7 +427,8 @@ def test_fused_product_needs_the_preconditioners_pair_and_boundary(case):
                                  copy if case == "superlu stiffness" else K, dt)
     op = {"partial dirichlet": ConstrainedStageOperator(kop, dofs[1:]),
           "unconstrained": kop}.get(case, ConstrainedStageOperator(kop, dofs))
-    assert pc.fused_product(op) is None
+    rhs = np.random.default_rng(11).standard_normal(kop.n)
+    assert sine_solve_product(monkeypatch, pc, op, rhs) == (None, None)
 
 
 class TestEigen:

@@ -377,16 +377,18 @@ class TestTensorPath:
 
     @pytest.mark.parametrize("N", [2, 3, 37, 128])
     def test_closed_form_eigenpairs(self, N):
-        # K1i V = M1i V diag(lam) and V^T M1i V = I on the interior 1D pencil;
-        # at N = 2 the interior is one vertex with no off-diagonal
+        # S M1i S = diag(mu), S K1i S = diag(mu lam) and S S = I on the
+        # interior 1D pencil; at N = 2 the interior is one vertex with no
+        # off-diagonal
         pair = assemble_heat(StructuredGrid(2, N))[0]._tensor[0]
         M1i = pair.M1[1:-1, 1:-1].toarray()
         K1i = pair.K1[1:-1, 1:-1].toarray()
-        lam, V = pair.interior_eig
-        assert V.shape == (N - 1, N - 1)
-        KV = K1i @ V
-        assert np.abs(KV - M1i @ V * lam).max() <= 1e-13 * np.abs(KV).max()
-        assert np.abs(V.T @ M1i @ V - np.eye(N - 1)).max() <= 1e-13
+        lam, mu = pair.interior_eig
+        S = pair._sine
+        assert S.shape == (N - 1, N - 1)
+        assert np.abs(S @ M1i @ S - np.diag(mu)).max() <= 1e-13 * mu.max()
+        assert np.abs(S @ K1i @ S - np.diag(mu * lam)).max() <= 1e-13 * np.abs(mu * lam).max()
+        assert np.abs(S @ S - np.eye(N - 1)).max() <= 1e-13
 
     @pytest.mark.parametrize("case", ["graded", "pentadiagonal"])
     def test_tensor_pair_needs_a_uniform_tridiagonal_pair(self, case):
@@ -402,45 +404,34 @@ class TestTensorPath:
             tensor_product_pair(M1, K1)
 
     def test_complex_transforms_are_those_of_the_real_and_imaginary_parts(self):
-        # a complex lattice goes through two real products, so its modes are
-        # exactly those of its parts, and likewise on the way back
+        # a complex lattice goes through two real products, in place
         pair = self.heat()[0]._tensor[0]
-        rng = np.random.default_rng(3)
-        Xr, Xi = rng.standard_normal((2, 3, self.N + 1, self.N + 1))
-        np.testing.assert_array_equal(pair.to_modes(Xr + 1j * Xi),
-                                      pair.to_modes(Xr) + 1j * pair.to_modes(Xi))
-        Yr, Yi = rng.standard_normal((2, 3, self.N - 1, self.N - 1))
-        Br, Bi = np.zeros((2, 3, self.N + 1, self.N + 1))
-        X = np.zeros((3, self.N + 1, self.N + 1), dtype=complex)
-        pair.from_modes(Yr + 1j * Yi, X)
-        pair.from_modes(Yr, Br)
-        pair.from_modes(Yi, Bi)
-        np.testing.assert_array_equal(X, Br + 1j * Bi)
+        Xr, Xi = np.random.default_rng(3).standard_normal((2, 3, self.N + 1, self.N + 1))
+        X = Xr + 1j * Xi
+        pair.sine(X)
+        pair.sine(Xr)
+        pair.sine(Xi)
+        np.testing.assert_array_equal(X, Xr + 1j * Xi)
 
-    def test_load_from_modes_is_the_mass_on_modes_and_inverts_to_modes(self):
-        M, K, _ = self.heat()
-        pair = M._tensor[0]
-        lam = pair.interior_eig[0]
-        Y = np.random.default_rng(4).standard_normal((2, self.N - 1, self.N - 1))
-        x = np.zeros((2, self.N + 1, self.N + 1))
-        pair.from_modes(Y, x)
+    @pytest.mark.parametrize("N", [6, 128])
+    def test_sine_keeps_the_norm_and_is_its_own_inverse(self, N):
+        pair = assemble_heat(StructuredGrid(2, N))[0]._tensor[0]
+        X = np.random.default_rng(4).standard_normal((2, N + 1, N + 1))
+        Y = X.copy()
+        pair.sine(Y)
         interior = (slice(None), slice(1, -1), slice(1, -1))
-        for mat, modes in ((M, Y), (K, (lam[:, None] + lam[None, :]) * Y)):
-            got = np.zeros_like(x)
-            pair.load_from_modes(modes, got)
-            expect = (mat.to_scipy() @ x.reshape(2, -1).T).T.reshape(x.shape)
-            np.testing.assert_allclose(got[interior], expect[interior], rtol=0,
-                                       atol=1e-13 * np.abs(expect).max())
-            assert not got[:, [0, -1]].any() and not got[:, :, [0, -1]].any()
-        np.testing.assert_allclose(pair.to_modes(got), modes, rtol=0,
-                                   atol=1e-13 * np.abs(modes).max())
+        assert np.abs(Y[interior] - X[interior]).max() > 0.1
+        np.testing.assert_array_equal(Y[:, [0, -1]], X[:, [0, -1]])
+        np.testing.assert_array_equal(Y[:, :, [0, -1]], X[:, :, [0, -1]])
+        assert abs(np.linalg.norm(Y) - np.linalg.norm(X)) <= 1e-14 * np.linalg.norm(X)
+        pair.sine(Y)
+        np.testing.assert_allclose(Y, X, rtol=0, atol=1e-14 * np.abs(X).max())
 
     def test_subnormal_eigenvalue_refused_without_a_solve(self, monkeypatch):
         M, K, bdofs = self.heat()
         pair = M._tensor[0]
         calls = []
-        for name in ("to_modes", "from_modes"):
-            monkeypatch.setattr(pair, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(pair, "sine", lambda *a: calls.append("sine"))
         monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append("splu"))
         # every D = 1e-320 is finite and nonzero, and 1/D overflows
         with pytest.raises(FactorizationError, match="numerically singular"):

@@ -833,9 +833,9 @@ def test_direct_and_fgmres_steps_report_the_same_counts(form, tab, pc_kind):
                                         (AI, PreconditionerKind.BLOCK_UPPER),
                                         (VALUE, PreconditionerKind.BLOCK_DIAGONAL)])
 def test_tensor_pair_linear_step_matches_the_unfused_step(monkeypatch, form, kind):
-    # GMRES on op o P in modes, then x = P y, takes the iterates of FGMRES
-    # through P, restarts included; a stiffness copy makes SuperLU blocks,
-    # which take the unfused path
+    # GMRES on op o P in sine coordinates, then x = P y, takes the iterates
+    # of FGMRES through P, restarts included; a stiffness copy makes SuperLU
+    # blocks, which take FGMRES through P
     from implicitrk.sparsela import KroneckerStageOperator
 
     fused = mms_heat_problem(StructuredGrid(2, 8))
