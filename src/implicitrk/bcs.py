@@ -42,6 +42,8 @@ class DirichletBC:
 
     def __post_init__(self):
         self.dofs = np.asarray(self.dofs, dtype=np.int64)
+        if self.dofs.ndim != 1:
+            raise ValueError(f"DirichletBC dofs must be 1-D, got shape {self.dofs.shape}")
         if len(self.dofs) and self.dofs.min() < 0:
             raise ValueError("negative dof index in DirichletBC")
         if len(np.unique(self.dofs)) != len(self.dofs):

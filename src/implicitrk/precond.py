@@ -84,12 +84,12 @@ class StagePreconditioner:
     system C1 (x) M + dt * C2 (x) K_i, with (C1, C2) the ``form``
     coefficients of ``A_tilde`` and ``Ks`` one stiffness block per stage.
 
-    When every block is a fast diagonalization of one ``TensorPair`` (one
-    linear stiffness, Dirichlet data on the whole lattice boundary), the
-    sweep runs in the sine coordinates of the interiors of all stages
-    (``TensorPair.sine``), where the constrained M is mu_a mu_b and K is
-    mu_a mu_b (lam_a + lam_b): a coupling is an elementwise product and a
-    block solve a division.  Boundary rows pass through.  Such a
+    When every block is a fast diagonalization of the same ``TensorPair``
+    (one linear stiffness, Dirichlet data on the whole lattice boundary),
+    the sweep runs in the sine coordinates of the interiors of all stages
+    (``TensorPair.sine``), where the constrained M is the pair's mu_prod and
+    K is mu_prod * lam_sum: a coupling is an elementwise product and block
+    i's solve a division by its ``D``.  Boundary rows pass through.  Such a
     preconditioner also runs GMRES in those coordinates (``sine_solve``).
 
     Immutable once built; ``apply`` and ``sine_solve`` use only local
@@ -110,13 +110,8 @@ class StagePreconditioner:
         self.block_factors = [
             factorize_block(M, Ks[i], C1[i, i], dt * C2[i, i], dofs) for i in range(self.s)
         ]
-        modes = [f.modes for f in self.block_factors]
-        self._pair = modes[0][0] if all(modes) else None
-        if self._pair is not None:
-            lam, mu = self._pair.interior_eig
-            self._lam_sum = lam_sum = lam[:, None] + lam[None, :]
-            self._mu_prod = mu[:, None] * mu[None, :]
-            self._D = [D for _, D in modes]
+        pairs = {f.pair for f in self.block_factors}
+        self._pair = pair = pairs.pop() if len(pairs) == 1 else None
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
         backward = bool(np.triu(A_tilde, 1).any())
@@ -128,8 +123,8 @@ class StagePreconditioner:
         self._sweep = []
         for i in order:
             J = slice(i + 1, self.s) if backward else slice(0, i)
-            if self._pair is not None:
-                terms = [(j, C1[i, j] + dt * C2[i, j] * lam_sum if C2[i, j] else C1[i, j])
+            if pair is not None:
+                terms = [(j, C1[i, j] + dt * C2[i, j] * pair.lam_sum if C2[i, j] else C1[i, j])
                          for j in range(self.s)[J] if C1[i, j] or C2[i, j]]
             else:
                 terms = [(C[i, J], mat.to_scipy())
@@ -167,7 +162,7 @@ class StagePreconditioner:
         for i, _, terms in self._sweep:
             for j, c in terms:
                 Y[i] -= c * Y[j]
-            Y[i] /= self._D[i]
+            Y[i] /= self.block_factors[i].D
         return Y
 
     def _sweep_to_lattice(self, X) -> None:
@@ -175,7 +170,7 @@ class StagePreconditioner:
         values of P applied to it."""
         Y = X[:, 1:-1, 1:-1]
         self._sweep_modes(Y)
-        Y /= self._mu_prod
+        Y /= self._pair.mu_prod
         self._pair.sine(X)
 
     def sine_solve(self, op, rhs, settings):
@@ -203,7 +198,7 @@ class StagePreconditioner:
             y = np.array(v, dtype=float)
             Y = y.reshape(shape)[:, 1:-1, 1:-1]
             # the sweep runs faster on a contiguous copy than on the view
-            Y[...] = kop.apply_diagonal(self._sweep_modes(Y.copy()), self._lam_sum)
+            Y[...] = kop.apply_diagonal(self._sweep_modes(Y.copy()), pair.lam_sum)
             return y
 
         b = np.array(rhs, dtype=float)

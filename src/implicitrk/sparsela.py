@@ -215,7 +215,9 @@ class TensorPair:
     S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)) diagonalizes both (Lynch, Rice &
     Thomas, Numer. Math. 6 (1964)): S M1i S = diag(mu), S K1i S = diag(kappa)
     with mu_k = a_m + 2 b_m cos(pi k/(n+1)) and kappa_k likewise.
-    ``interior_eig`` is (lam, mu) with lam = kappa / mu.
+    ``interior_eig`` is (lam, mu) with lam = kappa / mu.  The lattices
+    ``lam_sum`` = lam_a + lam_b and ``mu_prod`` = mu_a mu_b are formed at the
+    first block, not with the pair: assembly's peak memory does not hold them.
     """
 
     def __init__(self, M1: sp.csr_matrix, K1: sp.csr_matrix):
@@ -237,6 +239,14 @@ class TensorPair:
         self.boundary = np.flatnonzero(edge)
 
     @functools.cached_property
+    def lam_sum(self) -> np.ndarray:
+        return np.add.outer(self.interior_eig[0], self.interior_eig[0])
+
+    @functools.cached_property
+    def mu_prod(self) -> np.ndarray:
+        return np.multiply.outer(self.interior_eig[1], self.interior_eig[1])
+
+    @functools.cached_property
     def _sine(self):
         n = self.n1 - 2
         k = np.arange(1, n + 1)
@@ -255,6 +265,21 @@ class TensorPair:
             return
         S = self._sine
         X[:, 1:-1, 1:-1] = S @ X[:, 1:-1, 1:-1] @ S
+
+    def diagonal(self, alpha: complex, dt: complex) -> np.ndarray:
+        """D = alpha + dt*lam_sum, complex when alpha or dt is: the block
+        alpha*M + dt*K, constrained on the lattice boundary, is mu_prod * D in
+        sine coordinates.  A D whose reciprocal is not finite raises
+        FactorizationError, so the block needs no probe solve."""
+        with np.errstate(all="ignore"):
+            D = alpha + dt * self.lam_sum
+            regular = np.all(np.isfinite(D)) and np.all(np.isfinite(1.0 / D))
+        if not regular:
+            raise FactorizationError(
+                "stage block is numerically singular: an eigenvalue alpha + dt*(lam_i + lam_j) "
+                "is zero or not finite, or its reciprocal overflows"
+            )
+        return D
 
 
 def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
@@ -293,72 +318,38 @@ def tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dirichlet):
     return pair
 
 
-class _FastDiagonalization:
-    """Exact solve of the block alpha*M + dt*K of a tensor pair whose
-    boundary rows and columns are replaced by the identity.
-
-    The block is the identity on the boundary.  In the sine coordinates of
-    the interior (``TensorPair.sine``) it is the diagonal
-    mu_a mu_b D with D = alpha + dt*(lam_a + lam_b), so the solve is one
-    transform, a division and the transform back.  A complex alpha or dt
-    makes D, and the solution, complex; S, lam and mu stay real and shared.
-    A D whose reciprocal is not finite is refused here, so the block needs
-    no probe solve.
-    """
-
-    def __init__(self, pair: TensorPair, alpha: complex, dt: complex):
-        lam, mu = pair.interior_eig
-        with np.errstate(all="ignore"):
-            self.D = alpha + dt * (lam[:, None] + lam[None, :])
-            regular = np.all(np.isfinite(self.D)) and np.all(np.isfinite(1.0 / self.D))
-        if not regular:
-            raise FactorizationError(
-                "stage block is numerically singular: an eigenvalue alpha + dt*(lam_i + lam_j) "
-                "is zero or not finite, or its reciprocal overflows"
-            )
-        self._divisor = mu[:, None] * mu[None, :] * self.D
-        self.pair = pair
-
-    def solve(self, b) -> np.ndarray:
-        x = np.array(b, dtype=self.D.dtype)
-        # one lattice per right-hand side: b may be (n,) or (n, k), as for SuperLU
-        X = x.T.reshape(-1, self.pair.n1, self.pair.n1)
-        self.pair.sine(X)
-        X[:, 1:-1, 1:-1] /= self._divisor
-        self.pair.sine(X)
-        return x
-
-
 class BlockFactorization:
-    """Factored stage block alpha*M + dt*K.
-
-    The solve is a fast diagonalization for the boundary-constrained blocks
-    of a ``tensor_product_pair`` and a SuperLU sparse LU, with a
-    fill-reducing column ordering, for every other block; the contract is
-    only the solve residual.  ``apply`` aliases ``solve`` so a factorization
-    can stand in as an exact preconditioner, and ``exact`` says that it is
-    one.  ``dtype`` is complex when alpha or dt is, and a solve returns it.
+    """Factored stage block alpha*M + dt*K: a fast diagonalization for the
+    boundary-constrained blocks of a ``tensor_product_pair``, held as the
+    ``pair`` and its ``diagonal`` D, and a SuperLU sparse LU, with a
+    fill-reducing column ordering, for every other block, whose ``pair`` and
+    ``D`` are None; the contract is only the solve residual.  ``apply``
+    aliases ``solve`` so a factorization can stand in as an exact
+    preconditioner, and ``exact`` says that it is one.  ``dtype`` is complex
+    when alpha or dt is, and a solve returns it.
     """
 
     exact = True
 
-    def __init__(self, lu, n: int, dtype):
+    def __init__(self, lu, n: int, dtype, pair: TensorPair | None = None, D=None):
         self._lu = lu
         self.n = n
         self.dtype = dtype
+        self.pair = pair
+        self.D = D
 
     def solve(self, b) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=self.dtype))
+        if self.pair is None:
+            return self._lu.solve(np.asarray(b, dtype=self.dtype))
+        x = np.array(b, dtype=self.dtype)
+        # one lattice per right-hand side: b may be (n,) or (n, k), as for SuperLU
+        X = x.T.reshape(-1, self.pair.n1, self.pair.n1)
+        self.pair.sine(X)
+        X[:, 1:-1, 1:-1] /= self.pair.mu_prod * self.D
+        self.pair.sine(X)
+        return x
 
     apply = solve
-
-    @property
-    def modes(self):
-        """(pair, D) of a fast diagonalization, whose block is
-        mu_a mu_b D in the sine coordinates of its ``TensorPair``; None for
-        SuperLU."""
-        lu = self._lu
-        return (lu.pair, lu.D) if isinstance(lu, _FastDiagonalization) else None
 
 
 def factorize_block(
@@ -375,7 +366,7 @@ def factorize_block(
 
     When M and K are the mass and stiffness of one ``tensor_product_pair``
     and ``dirichlet`` is exactly its lattice boundary, the block is solved by
-    fast diagonalization, which needs no sparse LU and no probe solve.  Every
+    fast diagonalization (``TensorPair.diagonal``), with no sparse LU.  Every
     other block goes to SuperLU, which orders columns by minimum degree on
     the pattern of C^T + C: that suits the structurally symmetric stage
     blocks and gives less fill than its default COLAMD.  Partial pivoting is
@@ -387,7 +378,7 @@ def factorize_block(
     dtype = np.result_type(alpha, dt, float)
     pair = tensor_pair_of(M, K, dirichlet)
     if pair is not None:
-        return BlockFactorization(_FastDiagonalization(pair, alpha, dt), M.nrows, dtype)
+        return BlockFactorization(None, M.nrows, dtype, pair, pair.diagonal(alpha, dt))
     C = alpha * M.to_scipy() + dt * K.to_scipy()
     if dirichlet is not None and len(dirichlet):
         C = _constrain_csr(C, dirichlet)
@@ -495,8 +486,8 @@ class KrylovSettings:
     maxit: int = 500
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol and atol must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("rtol and atol must be finite and positive")
         if self.restart < 1 or self.maxit < 1:
             raise ValueError("restart and maxit must be >= 1")
 
@@ -554,13 +545,8 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
     breakdown_tol = 1e-14 * normb
 
     while True:
+        # at least 1: the check at the end of a cycle stops at maxit
         cycle = min(st.restart, st.maxit - iterations)
-        if cycle <= 0:
-            raise NonConvergenceError(
-                f"fgmres: no convergence in {st.maxit} iterations "
-                f"(residual {residuals[-1]:.3e}, target {target:.3e})",
-                residuals,
-            )
         beta = np.linalg.norm(r)
         # the basis grows by one vector per iteration, as it is used
         V = [r / beta]
@@ -570,7 +556,6 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
         sn = np.zeros(cycle)
         g = np.zeros(cycle + 1)
         g[0] = beta
-        j = -1
         for j in range(cycle):
             z = V[j] if P is None else P(V[j])
             w = A(z)

@@ -119,8 +119,8 @@ class NewtonSettings:
     maxit: int = 50
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol and atol must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("rtol and atol must be finite and positive")
         if self.maxit < 0:
             raise ValueError("maxit must be >= 0")
 
@@ -168,7 +168,8 @@ class SemidiscreteProblem:
     Linear problems supply ``stiffness`` and ``load``; a residual and
     Jacobian are synthesized so they satisfy the general interface too.
     Nonlinear problems supply ``residual(t, u, udot)`` and
-    ``jacobian_u(t, u) -> SparseMatrix``; the mass matrix is the (constant)
+    ``jacobian_u(t, u) -> SparseMatrix``, and no ``stiffness`` or ``load``:
+    the residual is the whole equation.  The mass matrix is the (constant)
     derivative of the residual with respect to u'.
     """
 
@@ -191,21 +192,22 @@ class SemidiscreteProblem:
             raise ValueError(
                 f"Dirichlet dof {bc.dofs.max()} out of range for a problem of size {self.m}"
             )
-        self._linear = (
-            self.residual is None
-            and self.stiffness is not None
-            and self.load is not None
-        )
-        if self.residual is None:
-            if not self._linear:
-                raise ValueError(
-                    "problem needs either (stiffness, load) or a residual"
-                )
+        self._linear = self.residual is None
+        if self._linear:
+            if self.stiffness is None or self.load is None:
+                raise ValueError("problem needs either (stiffness, load) or a residual")
             M, K, f = self.mass, self.stiffness, self.load
             self.residual = lambda t, u, udot: (spmv(M, udot) + spmv(K, u)
                                                 - _of_shape("load", f(t), u.shape))
             if self.jacobian_u is None:
                 self.jacobian_u = lambda t, u: K
+            return
+        for attr in ("stiffness", "load"):
+            if getattr(self, attr) is not None:
+                raise ValueError(f"a problem with a residual takes no {attr}: "
+                                 "the residual is the whole equation")
+        if self.jacobian_u is None:
+            raise ValueError("a problem with a residual needs jacobian_u")
 
     @property
     def is_linear(self) -> bool:

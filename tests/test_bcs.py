@@ -171,6 +171,11 @@ class TestConstrainSystem:
         with pytest.raises(ValueError):
             DirichletBC(dofs=np.array([-1]), g=lambda t: np.zeros(1))
 
+    @pytest.mark.parametrize("dofs", [np.array([[0, 1], [2, 3]]), np.int64(3)], ids=["2-D", "0-D"])
+    def test_dofs_must_be_1d(self, dofs):
+        with pytest.raises(ValueError, match="dofs must be 1-D"):
+            DirichletBC(dofs=dofs, g=lambda t: np.zeros(np.size(dofs)))
+
     def test_duplicate_dof_rejected(self):
         # conflicting data on a repeated dof would silently keep the last value
         with pytest.raises(ValueError, match="duplicate"):

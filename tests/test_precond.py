@@ -338,15 +338,15 @@ def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
     pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
     superlu = build_preconditioner(kind, tab, SparseMatrix.from_scipy(M.to_scipy()), K, dt,
                                    form, dofs)
-    assert all(f.modes for f in pc.block_factors)
-    assert not any(f.modes for f in superlu.block_factors)
+    pair = M._tensor[0]
+    assert all(f.pair is pair for f in pc.block_factors)
+    assert not any(f.pair for f in superlu.block_factors)
     r = np.random.default_rng(8).standard_normal(tab.s * M.nrows)
     expect = pc.apply(r)
     calls = []
     matmul = sp.csr_matrix.__matmul__
     monkeypatch.setattr(sp.csr_matrix, "__matmul__",
                         lambda self, x: calls.append("csr") or matmul(self, x))
-    pair = M._tensor[0]
     monkeypatch.setattr(pair, "sine", lambda X, sine=pair.sine: calls.append("sine") or sine(X))
     np.testing.assert_array_equal(pc.apply(r), expect)
     assert calls == ["sine", "sine"]
@@ -354,6 +354,51 @@ def test_tensor_pair_sweeps_in_modes(monkeypatch, kind, form):
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(expect - ref) <= 1e-12 * scale
     assert np.linalg.norm(expect - superlu.apply(r)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+def test_pair_blocks_hold_only_their_diagonal(form):
+    # a block's solve divides by the pair's mu_prod times its D, which is the
+    # only lattice it keeps; the preconditioner keeps none of its own
+    N, tab, dt = 8, radau_iia(4), 0.05
+    M, K, dofs = assemble_heat(StructuredGrid(2, N))
+    pair = M._tensor[0]
+    # the lattices are formed at the first block, not with the pair
+    assert not {"lam_sum", "mu_prod"} & set(vars(pair))
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M, K, dt, form, dofs)
+    C1, C2 = form.coefficients(pc.A_tilde)
+
+    def lattices(obj):
+        return [v for v in vars(obj).values()
+                if isinstance(v, np.ndarray) and v.shape == (N - 1, N - 1)]
+
+    for i, f in enumerate(pc.block_factors):
+        assert f.pair is pair
+        assert len(lattices(f)) == 1 and lattices(f)[0] is f.D
+        np.testing.assert_array_equal(f.D, C1[i, i] + dt * C2[i, i] * pair.lam_sum)
+    assert lattices(pc) == []
+
+
+def test_blocks_of_different_pairs_sweep_on_the_lattice(monkeypatch):
+    # a stiffness copy in one stage gives that block SuperLU, so the blocks
+    # do not share one pair and the sweep runs on lattice values
+    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
+    Ks = [K, SparseMatrix.from_scipy(K.to_scipy()), K]
+    tab, dt = radau_iia(3), 0.05
+    pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M, Ks, dt, Splitting.IA, dofs)
+    pair = M._tensor[0]
+    assert [f.pair for f in pc.block_factors] == [pair, None, pair]
+    assert pc._pair is None
+    r = np.random.default_rng(11).standard_normal(tab.s * M.nrows)
+    expect = pc.apply(r)
+    ref = np.linalg.solve(dense_pc_matrix(pc.A_tilde, Splitting.IA, M, Ks, dt, dofs), r)
+    assert np.linalg.norm(expect - ref) <= 1e-12 * np.linalg.norm(ref)
+    calls = []
+    matmul = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__",
+                        lambda self, x: calls.append("csr") or matmul(self, x))
+    np.testing.assert_array_equal(pc.apply(r), expect)
+    assert "csr" in calls
 
 
 def sine_solve_product(monkeypatch, pc, op, rhs):

@@ -433,17 +433,20 @@ class TestStepNewton:
         assert len(err.value.residuals) == 6
 
     @pytest.mark.parametrize("settings", [dict(maxit=-1), dict(rtol=0.0), dict(atol=-1e-12),
-                                          dict(rtol=float("nan"))],
-                             ids=["maxit", "rtol", "atol", "nan-rtol"])
+                                          dict(rtol=float("nan")), dict(rtol=float("inf")),
+                                          dict(atol=float("inf"))],
+                             ids=["maxit", "rtol", "atol", "nan-rtol", "inf-rtol", "inf-atol"])
     def test_newton_settings_are_validated(self, settings):
         with pytest.raises(ValueError):
             NewtonSettings(**settings)
 
     @pytest.mark.parametrize("settings", [dict(rtol=float("nan")), dict(atol=float("nan")),
-                                          dict(maxit=0)],
-                             ids=["nan-rtol", "nan-atol", "maxit"])
+                                          dict(maxit=0), dict(rtol=float("inf")),
+                                          dict(atol=float("inf"))],
+                             ids=["nan-rtol", "nan-atol", "maxit", "inf-rtol", "inf-atol"])
     def test_krylov_settings_are_validated(self, settings):
-        # a NaN tolerance never stops FGMRES, which then blames the operator
+        # a NaN tolerance never stops FGMRES, which then blames the operator;
+        # an infinite one stops it before the first iteration, with x = 0
         with pytest.raises(ValueError):
             KrylovSettings(**settings)
 
@@ -985,6 +988,22 @@ class TestValidation:
     def test_problem_requires_operators_or_residual(self):
         with pytest.raises(ValueError):
             SemidiscreteProblem(m=1, mass=SparseMatrix.from_dense([[1.0]]))
+
+    @pytest.mark.parametrize("field", ["stiffness", "load"])
+    def test_residual_problem_refuses_a_linear_part(self, field):
+        # the residual is the whole equation: a stiffness or load beside it
+        # would be ignored
+        one = SparseMatrix.from_dense([[1.0]])
+        linear = {"stiffness": one, "load": lambda t: np.zeros(1)}
+        with pytest.raises(ValueError, match=f"takes no {field}"):
+            SemidiscreteProblem(m=1, mass=one, residual=lambda t, u, v: v + u,
+                                jacobian_u=lambda t, u: one, u0=np.ones(1),
+                                **{field: linear[field]})
+
+    def test_residual_problem_needs_its_jacobian(self):
+        one = SparseMatrix.from_dense([[1.0]])
+        with pytest.raises(ValueError, match="needs jacobian_u"):
+            SemidiscreteProblem(m=1, mass=one, residual=lambda t, u, v: v + u, u0=np.ones(1))
 
     def test_dirichlet_dof_out_of_range(self):
         # caught at construction, not as an IndexError inside the first step
