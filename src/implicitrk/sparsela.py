@@ -52,8 +52,11 @@ class Splitting(Enum):
 class SparseMatrix:
     """Compressed-sparse-row real matrix.
 
-    Immutable after construction; the underlying arrays are shared with a
-    cached scipy view, so instances are safe to share across threads.
+    Immutable after construction.  The index arrays are stored in the
+    dtype scipy's CSR constructor picks for them and the shape
+    (``scipy.sparse.get_index_dtype``: int32 unless an index, nnz or a
+    dimension reaches 2**31), so the cached scipy view shares all three
+    arrays and instances are safe to share across threads.
     """
 
     # (TensorPair, "mass" or "stiffness") on the matrices made by
@@ -66,13 +69,30 @@ class SparseMatrix:
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
+        index = sp.get_index_dtype((row_offsets, col_indices),
+                                   maxval=max(self.nrows, self.ncols), check_contents=True)
+        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=index)
+        self.col_indices = np.ascontiguousarray(col_indices, dtype=index)
         self.values = np.ascontiguousarray(values, dtype=float)
         self._validate()
+        self._freeze()
+
+    def _freeze(self):
         for a in (self.row_offsets, self.col_indices, self.values):
             a.setflags(write=False)
         self._csr = None
+
+    def _with_values(self, values) -> "SparseMatrix":
+        """A matrix on this one's pattern holding ``values``: the index arrays
+        are shared, not copied or checked again."""
+        other = SparseMatrix.__new__(SparseMatrix)
+        other.nrows, other.ncols = self.nrows, self.ncols
+        other.row_offsets, other.col_indices = self.row_offsets, self.col_indices
+        other.values = np.ascontiguousarray(values, dtype=float)
+        if other.values.shape != self.values.shape:
+            raise ValueError("values must hold one entry per stored index")
+        other._freeze()
+        return other
 
     def _validate(self):
         ro, ci = self.row_offsets, self.col_indices
@@ -187,22 +207,26 @@ def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_ma
     return sp.csr_matrix((data, indices, indptr), shape=C.shape)
 
 
-def _constant_tridiagonal(A: sp.csr_matrix, name: str) -> tuple[float, float]:
-    """(a, b) of the interior of A, without its first and last rows and
-    columns, when that interior is tridiag(b, a, b); one interior vertex has
-    no off-diagonal, and b = 0.  It reads A's own arrays: slicing the
-    interior out of A raised the peak RSS of a whole 2D solve by about
-    0.25 MB."""
+def _constant_tridiagonal(A: sp.csr_matrix, name: str) -> np.ndarray:
+    """The bands of A, shape (n1, 3): row i holds A[i, i-1], A[i, i] and
+    A[i, i+1], and zero where such an entry falls outside A.  A must be
+    symmetric and tridiagonal, with constant diagonals on its interior
+    (without its first and last rows and columns), as on a uniform grid.
+    It reads A's own arrays: slicing the interior out of A raised the peak
+    RSS of a whole 2D solve by about 0.25 MB."""
     n1 = A.shape[0]
     rows = np.repeat(np.arange(n1), np.diff(A.indptr))
-    inner = (np.minimum(rows, A.indices) > 0) & (np.maximum(rows, A.indices) < n1 - 1)
-    if np.any(inner & (np.abs(rows - A.indices) > 1) & (A.data != 0.0)):
-        raise ValueError(f"tensor_product_pair needs a tridiagonal interior {name}")
-    diag, off = A.diagonal()[1:-1], A.diagonal(1)[1:-1]
+    if np.any((np.abs(rows - A.indices) > 1) & (A.data != 0.0)):
+        raise ValueError(f"tensor_product_pair needs a tridiagonal {name}")
+    bands = np.zeros((n1, 3))
+    bands[1:, 0], bands[:, 1], bands[:-1, 2] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+    if np.any(bands[1:, 0] != bands[:-1, 2]):
+        raise ValueError(f"tensor_product_pair needs a symmetric {name}")
+    diag, off = bands[1:-1, 1], bands[1:-2, 2]
     if np.any(diag != diag[0]) or np.any(off != off[:1]):
         raise ValueError(f"tensor_product_pair needs constant interior diagonals in {name}, "
                          "as on a uniform grid")
-    return float(diag[0]), float(off[0]) if len(off) else 0.0
+    return bands
 
 
 class TensorPair:
@@ -215,9 +239,12 @@ class TensorPair:
     S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)) diagonalizes both (Lynch, Rice &
     Thomas, Numer. Math. 6 (1964)): S M1i S = diag(mu), S K1i S = diag(kappa)
     with mu_k = a_m + 2 b_m cos(pi k/(n+1)) and kappa_k likewise.
-    ``interior_eig`` is (lam, mu) with lam = kappa / mu.  The lattices
-    ``lam_sum`` = lam_a + lam_b and ``mu_prod`` = mu_a mu_b are formed at the
-    first block, not with the pair: assembly's peak memory does not hold them.
+    ``bands`` holds the bands of M1 and K1 (``_constant_tridiagonal``),
+    read once for these eigenpairs and for the 2D build in
+    ``tensor_product_pair``.  ``interior_eig`` is (lam, mu) with
+    lam = kappa / mu.  The lattices ``lam_sum`` = lam_a + lam_b and
+    ``mu_prod`` = mu_a mu_b are formed at the first block, not with the
+    pair: assembly's peak memory does not hold them.
     """
 
     def __init__(self, M1: sp.csr_matrix, K1: sp.csr_matrix):
@@ -228,7 +255,9 @@ class TensorPair:
             raise ValueError("tensor_product_pair needs at least one interior vertex")
         n = self.n1 - 2
         cos = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-        (am, bm), (ak, bk) = _constant_tridiagonal(M1, "M1"), _constant_tridiagonal(K1, "K1")
+        self.bands = _constant_tridiagonal(M1, "M1"), _constant_tridiagonal(K1, "K1")
+        # one interior vertex has no interior off-diagonal
+        (am, bm), (ak, bk) = ((B[1, 1], B[1, 2] if n > 1 else 0.0) for B in self.bands)
         mu, kappa = am + 2.0 * bm * cos, ak + 2.0 * bk * cos
         if not np.all(mu > 0.0):
             raise ValueError("tensor_product_pair needs M1 positive definite on the interior")
@@ -285,21 +314,42 @@ class TensorPair:
 def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     """2D mass M1 (x) M1 and stiffness K1 (x) M1 + M1 (x) K1 of 1D factors.
 
-    ``M1`` and ``K1`` must be symmetric, with interiors that are tridiagonal
-    with constant diagonals (a uniform grid), and ``M1`` positive definite
-    on its interior; anything else raises ValueError.  The two results carry
-    their factors, so that ``factorize_block`` solves their
+    ``M1`` and ``K1`` must be symmetric and tridiagonal, with constant
+    diagonals on their interiors (a uniform grid), and ``M1`` positive
+    definite on its interior; anything else raises ValueError.  Both are
+    built in CSR order from the factors' bands (``TensorPair.bands``), with
+    no Kronecker product, and share one pattern, checked once: row (i, a)
+    holds the columns (i + oi, a + oa), oi and oa in -1, 0, 1, that lie on
+    the lattice, explicit zeros included.  The entries are the products and
+    sums that ``scipy.sparse.kron`` and a CSR sum form, bit for bit.  The
+    two results carry their factors, so that ``factorize_block`` solves their
     boundary-constrained blocks by fast diagonalization.  Every other
     ``SparseMatrix``, copies of these two included, carries none.
     """
     M1, K1 = sp.csr_matrix(M1), sp.csr_matrix(K1)
     if M1.shape != K1.shape or M1.shape[0] != M1.shape[1]:
         raise ValueError("tensor_product_pair needs square M1, K1 of equal shape")
-    if abs(M1 - M1.T).max() != 0.0 or abs(K1 - K1.T).max() != 0.0:
-        raise ValueError("tensor_product_pair needs symmetric M1, K1")
     pair = TensorPair(M1, K1)
-    M = SparseMatrix.from_scipy(sp.kron(M1, M1, format="csr"))
-    K = SparseMatrix.from_scipy((sp.kron(K1, M1) + sp.kron(M1, K1)).tocsr())
+    n1, (mb, kb) = pair.n1, pair.bands
+    # entry (i, a, oi, oa) is the coupling of vertex (i, a) to
+    # (i + oi - 1, a + oa - 1); the lattice in C order is the CSR order
+    inside = np.ones((n1, 3), dtype=bool)
+    inside[0, 0] = inside[-1, 2] = False
+    keep = inside[:, None, :, None] & inside[None, :, None, :]
+    index = sp.get_index_dtype(maxval=keep.sum())
+    row_offsets = np.zeros(n1 * n1 + 1, dtype=index)
+    np.cumsum(keep.sum(axis=(2, 3)), out=row_offsets[1:])
+    step = np.arange(-1, 2, dtype=index)
+    cols = np.arange(n1 * n1, dtype=index).reshape(n1, n1, 1, 1) + (n1 * step[:, None] + step)
+    cols = cols[keep]
+
+    def kron(A, B):
+        return A[:, None, :, None] * B[None, :, None, :]
+
+    M = SparseMatrix(n1 * n1, n1 * n1, row_offsets, cols, kron(mb, mb)[keep])
+    K = kron(kb, mb)
+    K += kron(mb, kb)
+    K = M._with_values(K[keep])
     M._tensor = (pair, "mass")
     K._tensor = (pair, "stiffness")
     return M, K

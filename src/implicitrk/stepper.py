@@ -165,8 +165,9 @@ class _CachedFactors:
 class SemidiscreteProblem:
     """A semidiscrete problem M u' + K u = f(t), or a general residual.
 
-    Linear problems supply ``stiffness`` and ``load``; a residual and
-    Jacobian are synthesized so they satisfy the general interface too.
+    Linear problems supply ``stiffness`` and ``load``, and no ``residual``
+    or ``jacobian_u``: those two are synthesized so they satisfy the
+    general interface too.
     Nonlinear problems supply ``residual(t, u, udot)`` and
     ``jacobian_u(t, u) -> SparseMatrix``, and no ``stiffness`` or ``load``:
     the residual is the whole equation.  The mass matrix is the (constant)
@@ -196,11 +197,13 @@ class SemidiscreteProblem:
         if self._linear:
             if self.stiffness is None or self.load is None:
                 raise ValueError("problem needs either (stiffness, load) or a residual")
+            if self.jacobian_u is not None:
+                raise ValueError("a problem with a stiffness takes no jacobian_u: "
+                                 "the stiffness is its Jacobian")
             M, K, f = self.mass, self.stiffness, self.load
             self.residual = lambda t, u, udot: (spmv(M, udot) + spmv(K, u)
                                                 - _of_shape("load", f(t), u.shape))
-            if self.jacobian_u is None:
-                self.jacobian_u = lambda t, u: K
+            self.jacobian_u = lambda t, u: K
             return
         for attr in ("stiffness", "load"):
             if getattr(self, attr) is not None:

@@ -66,6 +66,24 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(3, 2, [0, 2, 2, 2], [1, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("make", ["from_scipy", "from_dense", "identity", "mass", "stiffness"])
+    def test_to_scipy_shares_every_array(self, make):
+        # the index arrays are stored in the dtype scipy picks, so the view
+        # copies none of them
+        if make in ("mass", "stiffness"):
+            M, K, _ = assemble_heat(StructuredGrid(2, 6))
+            A = M if make == "mass" else K
+        elif make == "from_scipy":
+            A = SparseMatrix.from_scipy(sp.random(7, 5, density=0.4, random_state=0))
+        elif make == "from_dense":
+            A = SparseMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]])
+        else:
+            A = SparseMatrix.identity(4)
+        C = A.to_scipy()
+        for mine, theirs in [(A.values, C.data), (A.col_indices, C.indices),
+                             (A.row_offsets, C.indptr)]:
+            assert np.shares_memory(mine, theirs)
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(3)
         D = rng.standard_normal((4, 6))
@@ -303,6 +321,7 @@ class TestTensorPath:
     """Which blocks factorize_block solves by fast diagonalization."""
 
     N = 6
+    SIZES = [2, 3, 37, 128]
 
     def heat(self):
         return assemble_heat(StructuredGrid(2, self.N))
@@ -379,7 +398,34 @@ class TestTensorPath:
             assert not uses_superlu(fac)
             self.assert_solves(fac, M, K, alpha, dt, bdofs)
 
-    @pytest.mark.parametrize("N", [2, 3, 37, 128])
+    @pytest.mark.parametrize("N", SIZES)
+    def test_pair_is_the_kronecker_construction(self, N):
+        # format="csr": for factors of 5 rows or fewer, kron's default goes
+        # through BSR blocks and keeps their explicit zeros two columns apart
+        M1, K1 = (A.to_scipy() for A in p1_pair(N))
+        M, K = tensor_product_pair(M1, K1)
+        expected = [sp.kron(M1, M1, format="csr"),
+                    sp.kron(K1, M1, format="csr") + sp.kron(M1, K1, format="csr")]
+        for got, ref in zip([M.to_scipy(), K.to_scipy()], expected):
+            for field in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+        # one pattern, shared
+        assert K.row_offsets is M.row_offsets and K.col_indices is M.col_indices
+
+    def test_assembly_peak_memory(self):
+        # 16.8 MiB measured: the two value arrays and the shared pattern
+        # (11.6 MiB) and the two broadcast products that sum to K; the bound
+        # leaves 19% above that, where the kron and COO build took 55.4 MiB
+        tracemalloc.start()
+        try:
+            M, K, _ = assemble_heat(StructuredGrid(2, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.nnz == K.nnz == 769**2
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("N", SIZES)
     def test_closed_form_eigenpairs(self, N):
         # S M1i S = diag(mu), S K1i S = diag(mu lam) and S S = I on the
         # interior 1D pencil; at N = 2 the interior is one vertex with no
@@ -394,16 +440,21 @@ class TestTensorPath:
         assert np.abs(S @ K1i @ S - np.diag(mu * lam)).max() <= 1e-13 * np.abs(mu * lam).max()
         assert np.abs(S @ S - np.eye(N - 1)).max() <= 1e-13
 
-    @pytest.mark.parametrize("case", ["graded", "pentadiagonal"])
+    @pytest.mark.parametrize("case", ["graded", "pentadiagonal", "boundary row", "nonsymmetric"])
     def test_tensor_pair_needs_a_uniform_tridiagonal_pair(self, case):
+        M1, K1 = (A.to_scipy().tolil() for A in p1_pair(6))
         if case == "graded":
             # P1 on the graded cells h_e of x_i = (i/6)^2
             h = np.diff(np.linspace(0.0, 1.0, 7) ** 2)
             M1 = sp.diags([h / 6, (np.r_[0.0, h] + np.r_[h, 0.0]) / 3, h / 6], [-1, 0, 1])
             K1 = sp.diags([-1 / h, np.r_[0.0, 1 / h] + np.r_[1 / h, 0.0], -1 / h], [-1, 0, 1])
-        else:
-            M1, K1 = (A.to_scipy().tolil() for A in p1_pair(6))
+        elif case == "pentadiagonal":
             M1[1, 3] = M1[3, 1] = 0.01
+        elif case == "boundary row":
+            # outside the interior, but not in the 2D pattern either
+            K1[0, 2] = K1[2, 0] = 0.01
+        else:
+            K1[0, 1] *= 2.0
         with pytest.raises(ValueError, match="tensor_product_pair needs"):
             tensor_product_pair(M1, K1)
 

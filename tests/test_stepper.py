@@ -1000,6 +1000,22 @@ class TestValidation:
                                 jacobian_u=lambda t, u: one, u0=np.ones(1),
                                 **{field: linear[field]})
 
+    def test_linear_problem_refuses_a_jacobian(self):
+        # the stiffness is the Jacobian: one given beside it would be ignored
+        one = SparseMatrix.from_dense([[1.0]])
+
+        def jacobian(t, u):
+            raise AssertionError("a linear problem never calls jacobian_u")
+
+        with pytest.raises(ValueError, match="takes no jacobian_u"):
+            SemidiscreteProblem(m=1, mass=one, stiffness=one, load=lambda t: np.zeros(1),
+                                jacobian_u=jacobian, u0=np.ones(1))
+        # the synthesized Jacobian passes the check, and is the stiffness
+        p = scalar_problem(1.0)
+        assert p.jacobian_u(0.0, p.u0) is p.stiffness
+        u, _ = TimeStepper(p, radau_iia(2), 0.1, krylov=TIGHT).step(p)
+        np.testing.assert_allclose(u, np.exp(-0.1), rtol=1e-5)
+
     def test_residual_problem_needs_its_jacobian(self):
         one = SparseMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError, match="needs jacobian_u"):
