@@ -50,14 +50,15 @@ class Splitting(Enum):
 
 
 class SparseMatrix:
-    """Compressed-sparse-row real matrix.
-
-    Immutable after construction.  The index arrays are stored in the
-    dtype scipy's CSR constructor picks for them and the shape
-    (``scipy.sparse.get_index_dtype``: int32 unless an index, nnz or a
-    dimension reaches 2**31), so the cached scipy view shares all three
-    arrays and instances are safe to share across threads.
-    """
+    """Compressed-sparse-row real matrix: one scipy CSR matrix in canonical
+    format, which ``to_scipy()`` returns, with read-only arrays, so that
+    instances are safe to share across threads.  The constructor copies its
+    arrays into the index dtype scipy picks (int32 unless an index, nnz or a
+    dimension reaches 2**31) and float values.  It raises ValueError on
+    complex values, on a ``row_offsets`` that does not end at the number of
+    column indices and values, and on what scipy's full format check
+    refuses or finds out of canonical format (columns strictly increasing
+    in each row)."""
 
     # (TensorPair, "mass" or "stiffness") on the matrices made by
     # tensor_product_pair, None on every other matrix
@@ -67,79 +68,35 @@ class SparseMatrix:
     _columns = None
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        index = sp.get_index_dtype((row_offsets, col_indices),
-                                   maxval=max(self.nrows, self.ncols), check_contents=True)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=index)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=index)
-        self.values = np.ascontiguousarray(values, dtype=float)
-        self._validate()
-        self._freeze()
+        self._csr = _frozen_csr((nrows, ncols), row_offsets, col_indices, values, copy=True)
 
-    def _freeze(self):
-        for a in (self.row_offsets, self.col_indices, self.values):
-            a.setflags(write=False)
-        self._csr = None
-
-    def _with_values(self, values) -> "SparseMatrix":
-        """A matrix on this one's pattern holding ``values``: the index arrays
-        are shared, not copied or checked again."""
-        other = SparseMatrix.__new__(SparseMatrix)
-        other.nrows, other.ncols = self.nrows, self.ncols
-        other.row_offsets, other.col_indices = self.row_offsets, self.col_indices
-        other.values = np.ascontiguousarray(values, dtype=float)
-        if other.values.shape != self.values.shape:
-            raise ValueError("values must hold one entry per stored index")
-        other._freeze()
-        return other
-
-    def _validate(self):
-        ro, ci = self.row_offsets, self.col_indices
-        if ro.shape != (self.nrows + 1,):
-            raise ValueError("row_offsets must have length nrows + 1")
-        if ro[0] != 0 or ro[-1] != len(self.values) or len(ci) != len(self.values):
-            raise ValueError("row_offsets endpoints inconsistent with nnz")
-        if np.any(np.diff(ro) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.ncols):
-            raise ValueError("column index out of range")
-        # strictly increasing within each row
-        d = np.diff(ci)
-        row_start = ro[1:-1]
-        interior = np.ones(len(d), dtype=bool)
-        if len(d):
-            # a row that starts past the last entry (empty trailing rows)
-            # marks no boundary inside the column index array
-            interior[row_start[(row_start > 0) & (row_start < len(ci))] - 1] = False
-            if np.any(d[interior] <= 0):
-                raise ValueError("col_indices must be strictly increasing per row")
+    @classmethod
+    def _owning(cls, shape, row_offsets, col_indices, values) -> "SparseMatrix":
+        """A matrix on arrays that the caller hands over and no longer
+        writes, checked as by the constructor but not copied."""
+        A = cls.__new__(cls)
+        A._csr = _frozen_csr(shape, row_offsets, col_indices, values, copy=False)
+        return A
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
         m = sp.csr_matrix(mat, copy=True)
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
+        m.sum_duplicates()  # sorts the indices too
+        return cls._owning(m.shape, m.indptr, m.indices, m.data)
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
-        return cls.from_scipy(sp.csr_matrix(np.asarray(arr, dtype=float)))
+        return cls.from_scipy(np.asarray(arr))
 
     @classmethod
     def identity(cls, n) -> "SparseMatrix":
         return cls.from_scipy(sp.identity(n, format="csr"))
 
     def to_scipy(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.nrows, self.ncols),
-            )
         return self._csr
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        return self._csr.toarray()
 
     def columns(self, cols) -> sp.csc_matrix:
         """The columns ``cols`` as an nrows-by-len(cols) CSC matrix.  The
@@ -148,20 +105,38 @@ class SparseMatrix:
         key = np.asarray(cols, dtype=np.int64).tobytes()
         cached = self._columns
         if cached is None or cached[0] != key:
-            cached = (key, self.to_scipy()[:, cols].tocsc())
+            cached = (key, self._csr[:, cols].tocsc())
             self._columns = cached
         return cached[1]
 
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    @property
-    def nnz(self):
-        return len(self.values)
+    row_offsets = property(lambda self: self._csr.indptr)
+    col_indices = property(lambda self: self._csr.indices)
+    values = property(lambda self: self._csr.data)
+    shape = property(lambda self: self._csr.shape)
+    nrows = property(lambda self: self._csr.shape[0])
+    ncols = property(lambda self: self._csr.shape[1])
+    nnz = property(lambda self: self._csr.nnz)
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def _frozen_csr(shape, row_offsets, col_indices, values, copy: bool) -> sp.csr_matrix:
+    """The read-only CSR matrix of ``SparseMatrix``, on the arrays or, with
+    ``copy``, on copies.  The endpoint is checked before scipy sees them: its
+    constructor drops entries past ``row_offsets[-1]`` without a word."""
+    ro, ci, v = (np.asarray(a) for a in (row_offsets, col_indices, values))
+    if np.iscomplexobj(v):
+        raise ValueError(f"SparseMatrix holds real values, got dtype {v.dtype}")
+    if not (len(ro) and ro[-1] == len(ci) == len(v)):
+        raise ValueError("row_offsets must end at nnz, the number of column indices and values")
+    C = sp.csr_matrix((v, ci, ro), shape=(int(shape[0]), int(shape[1])), dtype=float, copy=copy)
+    C.check_format(full_check=True)
+    if not C.has_canonical_format:
+        raise ValueError("col_indices must be strictly increasing per row")
+    for a in (C.indptr, C.indices, C.data):
+        a.setflags(write=False)
+    return C
 
 
 def spmv(A: SparseMatrix, x) -> np.ndarray:
@@ -182,7 +157,7 @@ def dirichlet_constrain(A: SparseMatrix, dofs, diag_value: float = 1.0) -> Spars
     if len(dofs) == 0:
         return A
     C = _constrain_csr(A.to_scipy(), dofs, diag_value)
-    return SparseMatrix(A.nrows, A.ncols, C.indptr, C.indices, C.data)
+    return SparseMatrix._owning(C.shape, C.indptr, C.indices, C.data)
 
 
 def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_matrix:
@@ -318,7 +293,7 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     diagonals on their interiors (a uniform grid), and ``M1`` positive
     definite on its interior; anything else raises ValueError.  Both are
     built in CSR order from the factors' bands (``TensorPair.bands``), with
-    no Kronecker product, and share one pattern, checked once: row (i, a)
+    no Kronecker product, and share one pattern: row (i, a)
     holds the columns (i + oi, a + oa), oi and oa in -1, 0, 1, that lie on
     the lattice, explicit zeros included.  The entries are the products and
     sums that ``scipy.sparse.kron`` and a CSR sum form, bit for bit.  The
@@ -346,10 +321,12 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     def kron(A, B):
         return A[:, None, :, None] * B[None, :, None, :]
 
-    M = SparseMatrix(n1 * n1, n1 * n1, row_offsets, cols, kron(mb, mb)[keep])
+    M = SparseMatrix._owning((n1 * n1, n1 * n1), row_offsets, cols, kron(mb, mb)[keep])
     K = kron(kb, mb)
     K += kron(mb, kb)
-    K = M._with_values(K[keep])
+    K = SparseMatrix._owning(M.shape, M.row_offsets, M.col_indices, K[keep])
+    # scipy trims the indices to nnz by slicing, a new view: K holds M's array
+    K._csr.indices = M.col_indices
     M._tensor = (pair, "mass")
     K._tensor = (pair, "stiffness")
     return M, K
@@ -376,7 +353,8 @@ class BlockFactorization:
     ``D`` are None; the contract is only the solve residual.  ``apply``
     aliases ``solve`` so a factorization can stand in as an exact
     preconditioner, and ``exact`` says that it is one.  ``dtype`` is complex
-    when alpha or dt is, and a solve returns it.
+    when alpha or dt is, and a solve returns it.  A solve takes b of shape
+    (n,) or (n, k) and raises ValueError on any other first dimension.
     """
 
     exact = True
@@ -389,6 +367,8 @@ class BlockFactorization:
         self.D = D
 
     def solve(self, b) -> np.ndarray:
+        if np.shape(b)[:1] != (self.n,):
+            raise ValueError(f"block solve: b has shape {np.shape(b)}, expected {self.n} rows")
         if self.pair is None:
             return self._lu.solve(np.asarray(b, dtype=self.dtype))
         x = np.array(b, dtype=self.dtype)

@@ -323,8 +323,8 @@ class TimeStepper:
         if u is None:
             raise ValueError("no initial state: pass u0 or set problem.u0")
         self.u = np.array(u, dtype=float)
-        if self.u.shape != (problem.m,) or not np.all(np.isfinite(self.u)):
-            raise ValueError("initial state must be finite of length problem.m")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError("initial state must be finite")
         if formulation.splitting is Splitting.IA and not tableau.invertible:
             raise FormulationError(
                 f"{formulation.value} needs an invertible tableau, got {tableau.name!r}"
@@ -333,14 +333,8 @@ class TimeStepper:
             raise FormulationError(
                 f"DIRK stepping needs a lower-triangular tableau, got {tableau.name!r}"
             )
-        bc = problem.dirichlet
-        if (formulation.splitting is Splitting.AI and bc_method is BcMethod.DAE
-                and bc is not None and len(bc.dofs) and not tableau.invertible):
-            raise FormulationError(f"DAE boundary values need an invertible A, got {tableau.name!r}")
         # DIRK ignores pc_kind (see _blocks)
         if pc_kind is PreconditionerKind.EIGEN and formulation is not StageFormulation.DIRK:
-            if not problem.is_linear:
-                raise FormulationError("the eigen preconditioner needs a linear problem")
             cond = butcher_eigenbasis(tableau.A)[2]
             if not cond <= EIGEN_COND_MAX:
                 raise FormulationError(
@@ -362,6 +356,27 @@ class TimeStepper:
         self._factor_cache = {}
         self._cached_problem = None
         self._factorizations = 0
+        self._check_problem(problem)
+
+    def _check_problem(self, problem):
+        """Refuse a problem this stepper cannot step, at construction and
+        whenever ``step`` or ``setup`` receives another than the last one.  An
+        accepted problem drops the factors of the last: the cache holds one
+        problem's, so a stepper driven over many keeps none of the earlier."""
+        if problem is self._cached_problem:
+            return
+        if self.u.shape != (problem.m,):
+            raise ValueError(f"the stepper's state has length {len(self.u)}, "
+                             f"the problem has size {problem.m}")
+        bc, tab = problem.dirichlet, self.tableau
+        if (self.formulation.splitting is Splitting.AI and self.bc_method is BcMethod.DAE
+                and bc is not None and len(bc.dofs) and not tab.invertible):
+            raise FormulationError(f"DAE boundary values need an invertible A, got {tab.name!r}")
+        if (self.pc_kind is PreconditionerKind.EIGEN and not problem.is_linear
+                and self.formulation is not StageFormulation.DIRK):
+            raise FormulationError("the eigen preconditioner needs a linear problem")
+        self._factor_cache.clear()
+        self._cached_problem = problem
 
     @property
     def t(self) -> float:
@@ -414,13 +429,8 @@ class TimeStepper:
         built from its Jacobian blocks ``Ks`` if missing.
 
         The key holds the kind and the system's coefficients, which tell DIRK
-        stages apart by a_ii.  The cache holds one problem's factors: stepping
-        another problem drops them, so a stepper driven over many problems
-        keeps none of the earlier ones alive.
+        stages apart by a_ii.
         """
-        if system.problem is not self._cached_problem:
-            self._factor_cache.clear()
-            self._cached_problem = system.problem
         key = (self._dt, (kind, tuple(system.A.flat)))
         if key not in self._factor_cache:
             self._factor_cache[key] = _CachedFactors(self._build(system, kind, Ks))
@@ -559,6 +569,7 @@ class TimeStepper:
         step.  Newton factors depend on the iterate and are built when needed.
         """
         problem = problem if problem is not None else self.problem
+        self._check_problem(problem)
         blocks, kind = self._blocks()
         if not problem.is_linear or kind is None:
             return
@@ -568,6 +579,7 @@ class TimeStepper:
     def step(self, problem: SemidiscreteProblem | None = None):
         """Advance one step; returns the new state and its ``StepReport``."""
         problem = problem if problem is not None else self.problem
+        self._check_problem(problem)
         tab, dt, u = self.tableau, self._dt, self.u
         factorized = self._factorizations
         bc = problem.dirichlet

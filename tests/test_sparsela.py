@@ -45,16 +45,50 @@ class TestSparseMatrix:
         assert A.col_indices.tolist() == [0, 0, 1]
         assert A.values.tolist() == [1.0, 2.0, 3.0]
         assert A.nnz == 3
+        assert (A.nrows, A.ncols) == A.shape == (2, 2)
+        C = A.to_scipy()
+        assert C is A.to_scipy()
+        assert not any(a.flags.writeable for a in (C.indptr, C.indices, C.data))
 
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [1, 1, 2], [0, 1], [1.0, 1.0])
+    def test_constructor_copies_its_arrays(self):
+        # arrays already of the stored dtypes are copied too, and the
+        # caller's stay writable
+        ro, ci, v = np.array([0, 1]), np.array([1], dtype=np.int32), np.array([2.0])
+        A = SparseMatrix(1, 2, ro, ci, v)
+        assert all(a.flags.writeable for a in (ro, ci, v))
+        assert A.col_indices is not ci
+        v[0] = 5.0
+        np.testing.assert_array_equal(A.to_dense(), [[0.0, 2.0]])
 
-    def test_rejects_unsorted_columns(self):
+    @pytest.mark.parametrize("args", [
+        (2, 2, [0, 2, 1], [0, 1], [1.0, 1.0]),
+        (3, 2, [0, 2, 1, 2], [0, 1], [1.0, 1.0]),
+        (2, 2, [1, 1, 2], [0, 1], [1.0, 1.0]),
+        (2, 2, [0, 2], [0, 1], [1.0, 1.0]),
+        (1, 2, [0, 1], [0], [1.0, 2.0]),
+        # scipy's constructor would keep [[1, 0]] and drop the second entry
+        (1, 2, [0, 1], [0, 1], [1.0, 2.0]),
+    ], ids=["decreasing end", "decreasing", "nonzero start", "short", "values length",
+            "trailing entries"])
+    def test_rejects_bad_offsets(self, args):
         with pytest.raises(ValueError):
-            SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
+            SparseMatrix(*args)
+
+    @pytest.mark.parametrize("col_indices", [[2, 0], [1, 1]], ids=["unsorted", "repeated"])
+    def test_rejects_unsorted_columns(self, col_indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseMatrix(1, 3, [0, 2], col_indices, [1.0, 1.0])
+
+    @pytest.mark.parametrize("make", ["constructor", "from_scipy", "from_dense"])
+    def test_rejects_complex_values(self, make):
+        D = np.array([[1.0 + 2.0j, 0.0]])
+        with pytest.raises(ValueError, match="complex128"):
+            if make == "constructor":
+                SparseMatrix(1, 2, [0, 1], [0], D[0, :1])
+            elif make == "from_scipy":
+                SparseMatrix.from_scipy(sp.csr_matrix(D))
+            else:
+                SparseMatrix.from_dense(D)
 
     def test_rejects_out_of_range_column(self):
         with pytest.raises(ValueError):
@@ -330,6 +364,16 @@ class TestTensorPath:
         C = constrained_dense(M, K, alpha, dt, dofs)
         b = np.random.default_rng(0).standard_normal(C.shape[0])
         np.testing.assert_allclose(fac.solve(b), np.linalg.solve(C, b), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["pair", "superlu"])
+    def test_solve_refuses_a_right_hand_side_of_another_length(self, kind):
+        # the pair's lattices would take a b of length 2n as two of them
+        M, K, bdofs = self.heat()
+        fac = factorize_block(M, K, 1.0, 0.1, bdofs if kind == "pair" else bdofs[:-1])
+        assert uses_superlu(fac) == (kind == "superlu")
+        for b in (np.ones(2 * M.nrows), np.ones((M.nrows - 1, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=f"expected {M.nrows} rows"):
+                fac.solve(b)
 
     def test_assembled_pair_with_boundary_data(self):
         M, K, bdofs = self.heat()

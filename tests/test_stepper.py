@@ -1054,6 +1054,20 @@ class TestValidation:
         with pytest.raises(FormulationError, match="linear"):
             TimeStepper(case.problem, radau_iia(2), 0.1, pc_kind=PreconditionerKind.EIGEN)
 
+    def test_every_stepped_problem_is_checked(self):
+        # step() and setup() check a problem other than the last one as the
+        # constructor does, and a refused one leaves the cached factors alone
+        heat = mms_heat_problem(StructuredGrid(2, 4))
+        st = TimeStepper(heat, radau_iia(2), 0.1, pc_kind=PreconditionerKind.EIGEN)
+        st.setup()
+        for call in (st.step, st.setup, lambda p: advance(st, p, 0.2)):
+            with pytest.raises(FormulationError, match="eigen preconditioner needs a linear"):
+                call(allen_cahn_2d(4))
+        assert st.step(heat)[1].factorizations == 0
+        big = TimeStepper(mms_heat_problem(StructuredGrid(2, 8)), radau_iia(2), 0.1)
+        with pytest.raises(ValueError, match="state has length 81, the problem has size 25"):
+            big.step(heat)
+
     def test_dirk_ignores_the_eigen_kind(self):
         # DIRK solves one-stage systems by their exact blocks whatever pc_kind
         # says, so unlike AI and IA (above) it does not refuse a tableau the
