@@ -117,15 +117,18 @@ def constrain_stage_system(
 ):
     """Impose stage boundary values on the coupled system.
 
-    Returns the constrained operator and right-hand side: constrained matrix
-    rows become identity rows, and the known values are eliminated from the
-    coupled rows' right-hand sides.  The elimination is the thin product of
-    the operator's boundary columns with the values, not a full apply.
+    Returns the constrained operator and a new right-hand side: constrained
+    matrix rows become identity rows, and the known values are eliminated
+    from the coupled rows' right-hand sides.  The elimination is the thin
+    product of the operator's boundary columns with the values, not a full
+    apply, and values that are all zero, as for a Newton iterate that holds
+    the boundary values, need none.
     """
     if len(bc.dofs) == 0:
         return op, rhs
     cop = ConstrainedStageOperator(op, bc.dofs)
     G = np.asarray(stage_values, dtype=float).reshape(op.s, len(bc.dofs))
-    out = np.asarray(rhs, dtype=float).reshape(op.s, op.m) - op.apply_columns(bc.dofs, G)
+    R = np.asarray(rhs, dtype=float).reshape(op.s, op.m)
+    out = R - op.apply_columns(bc.dofs, G) if G.any() else R.copy()
     out[:, bc.dofs] = G
     return cop, out.ravel()

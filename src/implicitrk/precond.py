@@ -13,10 +13,10 @@ of Atilde, so it is preconditioned with the stage operator's own rule:
 A triangular surrogate gives diagonal blocks C1_ii M + dt C2_ii K_i, solved
 by one sweep over the stages, backward when Atilde has a nonzero entry above
 its diagonal and forward otherwise; on a tensor pair the sweep runs in the
-sine coordinates of the lattice interiors, where GMRES solves a linear stage
-system of the same pair as well.  A preconditioner whose surrogate is A
-itself (the eigen kind, or a triangular kind on a triangular tableau) is
-``exact``: a linear stage system can be solved by one application of it.
+sine coordinates of the lattice interiors, where GMRES solves the linear stage
+system of A as well.  A preconditioner whose surrogate is A itself (the eigen
+kind, or a triangular kind on a triangular tableau) is ``exact``: a linear
+stage system can be solved by one application of it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-from .bcs import ConstrainedStageOperator
 from .sparsela import (
     FactorizationError,
     SparseMatrix,
@@ -33,7 +32,6 @@ from .sparsela import (
     factorize_block,
     fgmres,
     stage_blocks,
-    tensor_pair_of,
 )
 from .tableaux import ButcherTableau, ldu_factor
 
@@ -90,19 +88,20 @@ class StagePreconditioner:
     (``TensorPair.sine``), where the constrained M is the pair's mu_prod and
     K is mu_prod * lam_sum: a coupling is an elementwise product and block
     i's solve a division by its ``D``.  Boundary rows pass through.  Such a
-    preconditioner also runs GMRES in those coordinates (``sine_solve``).
+    preconditioner also solves the stage system of A in those coordinates
+    (``sine_solve``).
 
     Immutable once built; ``apply`` and ``sine_solve`` use only local
     scratch, so a built preconditioner can be shared between concurrent
-    solves.  ``exact`` says that the surrogate is the tableau's A, so that
-    ``apply`` is the exact inverse of the constrained stage operator built
-    from the same M and Ks.
+    solves.  ``exact`` says that the surrogate is A, so that ``apply`` is the
+    exact inverse of the constrained stage operator built from the same M
+    and Ks.
     """
 
-    def __init__(self, A_tilde, form, M, Ks, dt, dofs, exact):
+    def __init__(self, A_tilde, A, form, M, Ks, dt, dofs):
         C1, C2 = form.coefficients(A_tilde)
         self.A_tilde = A_tilde
-        self.exact = exact
+        self.exact = np.array_equal(A_tilde, A)
         self.dofs = dofs
         self.s = A_tilde.shape[0]
         self.m = M.nrows
@@ -112,6 +111,11 @@ class StagePreconditioner:
         ]
         pairs = {f.pair for f in self.block_factors}
         self._pair = pair = pairs.pop() if len(pairs) == 1 else None
+        # the stage operator's (C1, C2) for sine_solve, None for an identity,
+        # whose product it skips
+        self._op_coefficients = [None if np.array_equal(C, np.eye(self.s)) else C
+                                 for C in form.coefficients(A)]
+        self._dt = float(dt)
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
         backward = bool(np.triu(A_tilde, 1).any())
@@ -173,32 +177,35 @@ class StagePreconditioner:
         Y /= self._pair.mu_prod
         self._pair.sine(X)
 
-    def sine_solve(self, op, rhs, settings):
-        """Solve op x = rhs by GMRES on op P in sine coordinates, for a
-        ``ConstrainedStageOperator`` ``op`` of this preconditioner's
-        ``TensorPair`` constrained on its whole boundary: the
-        ``FgmresResult``, with x in lattice values, or None for every other
-        operator and when this preconditioner does not sweep in modes.
+    def sine_solve(self, rhs, settings):
+        """Solve the stage system this preconditioner was built for, op x = rhs
+        with op = C1 (x) M + dt * C2 (x) K, (C1, C2) the ``form`` coefficients
+        of A, constrained on the lattice boundary, by GMRES on op P in sine
+        coordinates: the ``FgmresResult``, with x in lattice values, or None
+        when the blocks do not share one ``TensorPair``.
 
         With F the ``TensorPair.sine`` of every stage, GMRES solves
         (F op P F) y = F rhs and x = P F y.  On the interior, P is the sweep
         divided by mu_a mu_b and op is mu_a mu_b (C1 + dt C2 (lam_a + lam_b)),
-        so a product is the sweep and op's ``apply_diagonal``, with no
+        so a product is the sweep and C1 Z + dt (lam_a + lam_b) C2 Z, with no
         transform; boundary rows are the identity.  F is orthogonal, so the
         iterates are those of FGMRES through P on op, with the same ||rhs||.
         """
-        if self._pair is None or not isinstance(op, ConstrainedStageOperator):
-            return None
-        kop, pair = op.op, self._pair
-        if kop.s != self.s or any(tensor_pair_of(kop.M, K, op.dofs) is not pair for K in kop.Ks):
+        pair = self._pair
+        if pair is None:
             return None
         shape = (self.s, pair.n1, pair.n1)
+        (C1, C2), dt_lam = self._op_coefficients, self._dt * pair.lam_sum
 
         def product(v) -> np.ndarray:
             y = np.array(v, dtype=float)
             Y = y.reshape(shape)[:, 1:-1, 1:-1]
             # the sweep runs faster on a contiguous copy than on the view
-            Y[...] = kop.apply_diagonal(self._sweep_modes(Y.copy()), pair.lam_sum)
+            Z = self._sweep_modes(Y.copy())
+            flat = Z.reshape(self.s, -1)
+            out = dt_lam * (Z if C2 is None else (C2 @ flat).reshape(Z.shape))
+            out += Z if C1 is None else (C1 @ flat).reshape(Z.shape)
+            Y[...] = out
             return y
 
         b = np.array(rhs, dtype=float)
@@ -287,5 +294,4 @@ def build_preconditioner(
         if any(Ki is not Ks[0] for Ki in Ks):
             raise ValueError("eigen preconditioning needs one stiffness shared by all stages")
         return EigenPreconditioner(A_tilde, form, M, Ks[0], dt, dofs)
-    return StagePreconditioner(A_tilde, form, M, Ks, dt, dofs,
-                               exact=np.array_equal(A_tilde, tab.A))
+    return StagePreconditioner(A_tilde, tab.A, form, M, Ks, dt, dofs)

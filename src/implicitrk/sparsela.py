@@ -51,10 +51,11 @@ class Splitting(Enum):
 
 class SparseMatrix:
     """Compressed-sparse-row real matrix: one scipy CSR matrix in canonical
-    format, which ``to_scipy()`` returns, with read-only arrays, so that
-    instances are safe to share across threads.  The constructor copies its
-    arrays into the index dtype scipy picks (int32 unless an index, nnz or a
-    dimension reaches 2**31) and float values.  It raises ValueError on
+    format, with read-only arrays, so that instances are safe to share across
+    threads; ``to_scipy()`` returns a new scipy matrix on those arrays.  The
+    constructor copies its arrays into the index dtype scipy picks (int32
+    unless an index, nnz or a dimension reaches 2**31) and float values.  It
+    raises ValueError on
     complex values, on a ``row_offsets`` that does not end at the number of
     column indices and values, and on what scipy's full format check
     refuses or finds out of canonical format (columns strictly increasing
@@ -93,7 +94,10 @@ class SparseMatrix:
         return cls.from_scipy(sp.identity(n, format="csr"))
 
     def to_scipy(self) -> sp.csr_matrix:
-        return self._csr
+        # a new matrix on the read-only arrays: scipy's in-place methods that
+        # insert entries give it new arrays and leave this one as it was
+        C = self._csr
+        return sp.csr_matrix((C.data, C.indices, C.indptr), shape=C.shape, copy=False)
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
@@ -144,7 +148,7 @@ def spmv(A: SparseMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (A.ncols,):
         raise ValueError(f"spmv: x has shape {x.shape}, expected ({A.ncols},)")
-    return A.to_scipy() @ x
+    return A._csr @ x
 
 
 def dirichlet_constrain(A: SparseMatrix, dofs, diag_value: float = 1.0) -> SparseMatrix:
@@ -156,7 +160,7 @@ def dirichlet_constrain(A: SparseMatrix, dofs, diag_value: float = 1.0) -> Spars
     """
     if len(dofs) == 0:
         return A
-    C = _constrain_csr(A.to_scipy(), dofs, diag_value)
+    C = _constrain_csr(A._csr, dofs, diag_value)
     return SparseMatrix._owning(C.shape, C.indptr, C.indices, C.data)
 
 
@@ -409,7 +413,7 @@ def factorize_block(
     pair = tensor_pair_of(M, K, dirichlet)
     if pair is not None:
         return BlockFactorization(None, M.nrows, dtype, pair, pair.diagonal(alpha, dt))
-    C = alpha * M.to_scipy() + dt * K.to_scipy()
+    C = alpha * M._csr + dt * K._csr
     if dirichlet is not None and len(dirichlet):
         C = _constrain_csr(C, dirichlet)
     try:
@@ -475,19 +479,8 @@ class KroneckerStageOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"operator expects length {self.n}, got {v.shape}")
-        Ks = [K.to_scipy() for K in self.Ks]
-        return self._product(self.M.to_scipy(), Ks, v.reshape(self.s, self.m)).ravel()
-
-    def apply_diagonal(self, Y, lam) -> np.ndarray:
-        """(C1 (x) I + dt * C2 (x) diag(lam)) Y for Y of shape (s, ...) and
-        lam of Y's trailing shape: the action in a basis where M is the
-        identity and every K_i is the diagonal lam."""
-        flat = Y.reshape(self.s, -1)
-        U1 = Y if self._C1_eye else (self.C1 @ flat).reshape(Y.shape)
-        U2 = Y if self._C2_eye else (self.C2 @ flat).reshape(Y.shape)
-        out = (self.dt * lam) * U2
-        out += U1
-        return out
+        Ks = [K._csr for K in self.Ks]
+        return self._product(self.M._csr, Ks, v.reshape(self.s, self.m)).ravel()
 
     def apply_columns(self, cols, G) -> np.ndarray:
         """The action on a stage vector that is G, shape (s, len(cols)), on

@@ -42,7 +42,6 @@ import numpy as np
 
 from .bcs import (
     BcMethod,
-    ConstrainedStageOperator,
     DirichletBC,
     constrain_stage_system,
     stage_bc_values,
@@ -442,9 +441,10 @@ class TimeStepper:
         The factors are built from the Jacobians ``Ks`` when missing.  A
         linear problem's factors never go stale; when they are ``exact`` the
         system is solved by one application of them, with no FGMRES and no
-        apply of ``op``.  When they solve ``op`` in sine coordinates
-        (``sine_solve``), GMRES, preconditioned on the right, solves
-        op P y = rhs there, with one transform of rhs and one of the
+        apply of ``op``.  When they sweep in the modes of a tensor pair, they
+        solve the stage system they were built for, which is ``op``, in sine
+        coordinates (``sine_solve``): GMRES, preconditioned on the right,
+        solves op P y = rhs there, with one transform of rhs and one of the
         correction P y: since P is fixed, these are the iterates of FGMRES
         through P, at one per-mode product per iteration in place of an apply
         of P and one of ``op``.  That path is chosen here, from the cached
@@ -472,7 +472,7 @@ class TimeStepper:
             if not lag and entry.factors.exact:
                 return entry.factors.apply(rhs), 1, float("nan")
             # a linear problem's inexact factors are a StagePreconditioner
-            res = None if lag else entry.factors.sine_solve(op, rhs, self.krylov)
+            res = None if lag else entry.factors.sine_solve(rhs, self.krylov)
             if res is not None:
                 return res.x, res.iterations, res.residuals[-1]
             try:
@@ -495,11 +495,11 @@ class TimeStepper:
         """Newton on ``system`` with boundary stage values ``svals``.
 
         A linear problem takes exactly one correction from the start point,
-        with no residual test; the boundary rows of the correction carry
-        svals - X through ``constrain_stage_system``.  Nonlinear iterates
-        start with the boundary values in place, so their corrections are
-        zero there.  Per-stage Jacobians are refreshed every iteration; the
-        preconditioner built from them lags (``_correction``).
+        with no residual test.  The boundary rows of every correction carry
+        svals - X through ``constrain_stage_system``; nonlinear iterates
+        start with the boundary values in place, so theirs are zero.
+        Per-stage Jacobians are refreshed every iteration; the preconditioner
+        built from them lags (``_correction``).
 
         Returns the unknown X, the stage derivatives at X, and the Newton
         corrections, preconditioned solves, final residual and residual
@@ -542,15 +542,11 @@ class TimeStepper:
                         f"(residual {normR:.3e})",
                         hist,
                     )
-            op = system.jacobian(None if linear else states[0])
-            rhs = np.negative(R, out=R).ravel()
-            if not len(dofs):
-                sop = op
-            elif linear:
-                sop, rhs = constrain_stage_system(op, rhs, problem.dirichlet, svals - X[:, dofs])
-            else:
-                sop = ConstrainedStageOperator(op, dofs)
-            dx, its, final = self._correction(system, kind, op.Ks, sop, rhs)
+            jac = system.jacobian(None if linear else states[0])
+            op, rhs = jac, np.negative(R, out=R).ravel()
+            if len(dofs):
+                op, rhs = constrain_stage_system(jac, rhs, problem.dirichlet, svals - X[:, dofs])
+            dx, its, final = self._correction(system, kind, jac.Ks, op, rhs)
             krylov += its
             X = X + dx.reshape(X.shape)
             if len(dofs):
@@ -559,7 +555,7 @@ class TimeStepper:
                 return X, system.derivatives(X), (1, krylov, final, [])
             # release this iteration's Jacobians and operator before the next
             # ones are built; the lagged preconditioner keeps what it needs
-            del op, sop, dx
+            del jac, op, dx
 
     def setup(self, problem: SemidiscreteProblem | None = None):
         """Factorize now what stepping a linear problem will need.

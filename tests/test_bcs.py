@@ -151,6 +151,29 @@ class TestConstrainSystem:
         ref = np.linalg.solve(S, d)
         np.testing.assert_allclose(x, ref, atol=1e-12 * max(1.0, np.linalg.norm(ref)))
 
+    @pytest.mark.parametrize("values", ["zero", "nonzero"])
+    def test_leaves_the_callers_rhs_alone(self, monkeypatch, values):
+        # zero values, as a Newton iterate that holds the boundary values
+        # gives, eliminate nothing and slice no columns
+        tab = radau_iia(2)
+        grid, _, _, bdofs, op = self._heat_system(4, tab, 0.1)
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal(op.n)
+        before = rhs.copy()
+        svals = rng.standard_normal((2, len(bdofs))) if values == "nonzero" else np.zeros((2, 2))
+        calls = []
+        apply_columns = KroneckerStageOperator.apply_columns
+        monkeypatch.setattr(KroneckerStageOperator, "apply_columns",
+                            lambda self, *a: calls.append(1) or apply_columns(self, *a))
+        bc = bc_with(bdofs, lambda t: np.zeros(len(bdofs)))
+        _, crhs = constrain_stage_system(op, rhs, bc, svals)
+        np.testing.assert_array_equal(rhs, before)
+        assert not np.shares_memory(crhs, rhs)
+        assert len(calls) == (values == "nonzero")
+        expect = (rhs - op.apply_columns(bdofs, svals).ravel()).reshape(2, -1)
+        expect[:, bdofs] = svals
+        np.testing.assert_array_equal(crhs, expect.ravel())
+
     def test_constrained_operator_identity_rows(self):
         tab = radau_iia(2)
         grid, _, _, bdofs, op = self._heat_system(5, tab, 0.2)

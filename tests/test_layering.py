@@ -1,0 +1,40 @@
+"""The package's modules form layers: a module imports only modules below it,
+so that, for one, the stage preconditioner never learns about the boundary
+treatment of the operator it preconditions."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "implicitrk"
+LAYERS = ("tableaux", "sparsela", "bcs", "precond", "stepper", "problems", "cli")
+
+
+def package_imports(name):
+    """The package modules that module ``name`` imports, at any depth of its
+    code, by relative import."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_imports_only_lower_layers(name):
+    below = set(LAYERS[:LAYERS.index(name)])
+    assert package_imports(name) <= below, name
+
+
+def test_precond_imports_nothing_from_bcs():
+    assert "bcs" not in package_imports("precond")

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from implicitrk import precond
-from implicitrk.bcs import ConstrainedStageOperator, DirichletBC, constrain_stage_system
+from implicitrk.bcs import DirichletBC, constrain_stage_system
 from implicitrk.precond import (
     EIGEN_COND_MAX,
     PreconditionerKind,
@@ -160,10 +160,12 @@ class TestApply:
                 pc.apply(r), np.linalg.solve(dense, r), atol=1e-10
             )
 
-    def test_dimension_error(self):
+    @pytest.mark.parametrize("kind", [PreconditionerKind.RANA_LD, PreconditionerKind.EIGEN],
+                             ids=lambda k: k.value)
+    def test_dimension_error(self, kind):
         M, K = spd_pair(3, 40)
-        pc = build_preconditioner(PreconditionerKind.RANA_LD, radau_iia(2), M, K, 0.1)
-        with pytest.raises(ValueError):
+        pc = build_preconditioner(kind, radau_iia(2), M, K, 0.1)
+        with pytest.raises(ValueError, match="preconditioner expects length 6"):
             pc.apply(np.ones(5))
 
 
@@ -237,9 +239,11 @@ class TestValidation:
             build_preconditioner(PreconditionerKind.RANA_LD, tab, M, K, 0.1, Splitting.AI)
 
     def test_ia_needs_invertible_tableau(self):
-        tab = ButcherTableau([[0.0]], [1.0], [0.0], 1, 0, "explicit-euler")
+        # a singular A whose block-lower surrogate [[1, 0], [1, 1]] is invertible
+        tab = ButcherTableau([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5], [2.0, 2.0], 1, 1, "singular")
         M, K = spd_pair(3, 71)
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError,
+                           match="IA-form preconditioning needs an invertible tableau"):
             build_preconditioner(
                 PreconditionerKind.BLOCK_LOWER, tab, M, K, 0.1, Splitting.IA
             )
@@ -401,12 +405,12 @@ def test_blocks_of_different_pairs_sweep_on_the_lattice(monkeypatch):
     assert "csr" in calls
 
 
-def sine_solve_product(monkeypatch, pc, op, rhs):
-    """The result of ``pc.sine_solve(op, rhs)`` and the product its GMRES ran on."""
+def sine_solve_product(monkeypatch, pc, rhs):
+    """The result of ``pc.sine_solve(rhs)`` and the product its GMRES ran on."""
     seen = []
     run = precond.fgmres
     monkeypatch.setattr(precond, "fgmres", lambda A, *a: seen.append(A) or run(A, *a))
-    res = pc.sine_solve(op, rhs, KrylovSettings(rtol=1e-12))
+    res = pc.sine_solve(rhs, KrylovSettings(rtol=1e-12))
     return res, seen[0] if seen else None
 
 
@@ -429,11 +433,12 @@ def constrained_heat_system(tab, form, dt, N=6):
 def test_sine_solve_runs_gmres_on_the_transformed_operator_after_the_preconditioner(
         monkeypatch, kind, form, tab):
     # with F the sine transform of every stage, GMRES runs on F op P F, which
-    # needs no transform, and the correction solves op x = rhs
+    # needs no transform, and the correction solves op x = rhs, for op the
+    # constrained stage operator of the tableau, built apart from pc
     dt = 0.05
     M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt)
     pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
-    res, product = sine_solve_product(monkeypatch, pc, op, rhs)
+    res, product = sine_solve_product(monkeypatch, pc, rhs)
     pair = M._tensor[0]
     shape = (tab.s, pair.n1, pair.n1)
 
@@ -452,28 +457,25 @@ def test_sine_solve_measures_the_lattice_right_hand_side(monkeypatch):
     # the relative target of GMRES is taken from ||rhs|| of the constrained
     # lattice system, boundary rows included: F keeps the norm
     tab, form, dt = radau_iia(4), Splitting.IA, 1.0 / 16
-    M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt, N=16)
+    M, K, dofs, _, rhs = constrained_heat_system(tab, form, dt, N=16)
     pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M, K, dt, form, dofs)
-    res, _ = sine_solve_product(monkeypatch, pc, op, rhs)
+    res, _ = sine_solve_product(monkeypatch, pc, rhs)
     normb = np.linalg.norm(rhs)
     assert abs(res.residuals[0] - normb) <= 1e-14 * normb
     assert np.linalg.norm(rhs.reshape(tab.s, -1)[:, dofs]) > 0.1 * normb
 
 
-@pytest.mark.parametrize("case", ["superlu stiffness", "superlu preconditioner",
-                                  "partial dirichlet", "unconstrained"])
+@pytest.mark.parametrize("case", ["superlu preconditioner", "partial dirichlet"])
 def test_sine_solve_needs_the_preconditioners_pair_and_boundary(monkeypatch, case):
+    # blocks on a SuperLU copy of K, or on part of the boundary, share no pair
     M, K, dofs = assemble_heat(StructuredGrid(2, 6))
     tab, form, dt = radau_iia(3), Splitting.IA, 0.05
     copy = SparseMatrix.from_scipy(K.to_scipy())
     pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M,
-                              copy if case == "superlu preconditioner" else K, dt, form, dofs)
-    kop = KroneckerStageOperator(*form.coefficients(tab.A), M,
-                                 copy if case == "superlu stiffness" else K, dt)
-    op = {"partial dirichlet": ConstrainedStageOperator(kop, dofs[1:]),
-          "unconstrained": kop}.get(case, ConstrainedStageOperator(kop, dofs))
-    rhs = np.random.default_rng(11).standard_normal(kop.n)
-    assert sine_solve_product(monkeypatch, pc, op, rhs) == (None, None)
+                              copy if case == "superlu preconditioner" else K, dt, form,
+                              dofs[1:] if case == "partial dirichlet" else dofs)
+    rhs = np.random.default_rng(11).standard_normal(tab.s * M.nrows)
+    assert sine_solve_product(monkeypatch, pc, rhs) == (None, None)
 
 
 class TestEigen:

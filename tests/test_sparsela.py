@@ -46,9 +46,21 @@ class TestSparseMatrix:
         assert A.values.tolist() == [1.0, 2.0, 3.0]
         assert A.nnz == 3
         assert (A.nrows, A.ncols) == A.shape == (2, 2)
-        C = A.to_scipy()
-        assert C is A.to_scipy()
+        # each call gives a new matrix on the same read-only arrays
+        C, D = A.to_scipy(), A.to_scipy()
+        assert C is not D
+        for c, d in [(C.indptr, D.indptr), (C.indices, D.indices), (C.data, D.data)]:
+            assert np.shares_memory(c, d)
         assert not any(a.flags.writeable for a in (C.indptr, C.indices, C.data))
+
+    def test_to_scipy_cannot_change_the_matrix(self):
+        # setdiag inserts the missing diagonal, which gives the scipy matrix
+        # new arrays of its own
+        A = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+        A.to_scipy().setdiag(5.0)
+        np.testing.assert_array_equal(A.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+        assert A.nnz == 2
+        assert not any(a.flags.writeable for a in (A.row_offsets, A.col_indices, A.values))
 
     def test_constructor_copies_its_arrays(self):
         # arrays already of the stored dtypes are copied too, and the
@@ -663,11 +675,19 @@ class TestKronecker:
         assert (shared.apply_columns(bdofs, G).tobytes()
                 == per_stage.apply_columns(bdofs, G).tobytes())
 
-    def test_dimension_error(self):
+    @pytest.mark.parametrize("case", ["apply length", "coefficient sizes", "block shapes"])
+    def test_dimension_error(self, case):
         M, K = p1_pair(4)
-        op = KroneckerStageOperator(np.eye(2), np.eye(2), M, [K], 0.1)
-        with pytest.raises(ValueError):
-            op.apply(np.ones(3))
+        if case == "apply length":
+            op = KroneckerStageOperator(np.eye(2), np.eye(2), M, [K], 0.1)
+            with pytest.raises(ValueError, match="operator expects length 10"):
+                op.apply(np.ones(3))
+        elif case == "coefficient sizes":
+            with pytest.raises(ValueError, match="C1, C2 must be square and of equal size"):
+                KroneckerStageOperator(np.eye(2), np.eye(3), M, [K], 0.1)
+        else:
+            with pytest.raises(ValueError, match="M and K blocks must be square and of equal"):
+                KroneckerStageOperator(np.eye(2), np.eye(2), M, [p1_pair(3)[1]], 0.1)
 
 
 class TestFgmres:
@@ -797,6 +817,12 @@ class TestFgmres:
     def test_non_finite_rhs_rejected(self):
         with pytest.raises(ValueError):
             fgmres(np.eye(2), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("where", ["op", "pc"])
+    def test_uninterpretable_operator_is_refused(self, where):
+        args = {"op": np.eye(2), "pc": None, where: "identity"}
+        with pytest.raises(TypeError, match="cannot interpret str as a linear operator"):
+            fgmres(args["op"], np.ones(2), args["pc"])
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

@@ -968,6 +968,12 @@ class TestValidation:
             else:
                 TimeStepper(p, radau_iia(1), **{"dt": 0.1, arg: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_state_is_refused(self, value):
+        p = scalar_problem(1.0)
+        with pytest.raises(ValueError, match="^initial state must be finite"):
+            TimeStepper(p, radau_iia(1), 0.1, u0=np.array([value]))
+
     def test_requires_initial_state(self):
         p = SemidiscreteProblem(
             m=1, mass=SparseMatrix.from_dense([[1.0]]),
