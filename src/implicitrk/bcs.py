@@ -50,6 +50,14 @@ class DirichletBC:
             raise ValueError("duplicate dof index in DirichletBC")
 
 
+def of_shape(callback, value, shape):
+    """``value`` unless its shape is not ``shape``: numpy would broadcast it."""
+    value = np.asarray(value)
+    if value.shape != shape:
+        raise ValueError(f"{callback} returned shape {value.shape}, expected {shape}")
+    return value
+
+
 def stage_bc_values(
     method: BcMethod,
     tab: ButcherTableau,
@@ -65,11 +73,12 @@ def stage_bc_values(
 
     Under DAE w reads off the data, w_i = (g(t + c_i dt) - u_n) / dt, and k
     needs one dense solve with A (A must be invertible).  Under ODE k is g' at
-    the stage times, and w = A k.
+    the stage times, and w = A k.  ``g`` and ``g_dot`` must return shape
+    (len(bc.dofs),); any other shape raises ValueError.
     """
     ub = np.asarray(u_n, dtype=float)[bc.dofs]
     if method is BcMethod.DAE:
-        G = np.array([np.broadcast_to(bc.g(t + ci * dt), ub.shape) for ci in tab.c])
+        G = np.array([of_shape("g", bc.g(t + ci * dt), ub.shape) for ci in tab.c])
         W = (G - ub[None, :]) / dt
         if form is Splitting.IA:
             return W
@@ -81,7 +90,7 @@ def stage_bc_values(
         return np.linalg.solve(tab.A, W)
     if bc.g_dot is None:
         raise ValueError("ODE boundary conditions require g_dot")
-    Kd = np.array([np.broadcast_to(bc.g_dot(t + ci * dt), ub.shape) for ci in tab.c])
+    Kd = np.array([of_shape("g_dot", bc.g_dot(t + ci * dt), ub.shape) for ci in tab.c])
     return Kd if form is Splitting.AI else tab.A @ Kd
 
 

@@ -151,20 +151,20 @@ def spmv(A: SparseMatrix, x) -> np.ndarray:
     return A._csr @ x
 
 
-def dirichlet_constrain(A: SparseMatrix, dofs, diag_value: float = 1.0) -> SparseMatrix:
+def dirichlet_constrain(A: SparseMatrix, dofs) -> SparseMatrix:
     """Replace constrained rows and columns with identity rows/columns.
 
     Rows and columns listed in ``dofs`` are zeroed and the diagonal is set to
-    ``diag_value``, the symmetric treatment that keeps preconditioner blocks
-    consistent with a column-eliminated operator.
+    one, the symmetric treatment that keeps preconditioner blocks consistent
+    with a column-eliminated operator.
     """
     if len(dofs) == 0:
         return A
-    C = _constrain_csr(A._csr, dofs, diag_value)
+    C = _constrain_csr(A._csr, dofs)
     return SparseMatrix._owning(C.shape, C.indptr, C.indices, C.data)
 
 
-def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_matrix:
+def _constrain_csr(C: sp.csr_matrix, dofs) -> sp.csr_matrix:
     """``dirichlet_constrain`` on a square CSR matrix in canonical format.
 
     Stored entries in a constrained row or column are masked out, which
@@ -181,7 +181,7 @@ def _constrain_csr(C: sp.csr_matrix, dofs, diag_value: float = 1.0) -> sp.csr_ma
     kept_indptr = kept_before[C.indptr]
     at = kept_indptr[dofs]
     indices = np.insert(C.indices[keep], at, dofs)
-    data = np.insert(C.data[keep], at, diag_value)
+    data = np.insert(C.data[keep], at, 1.0)
     indptr = kept_indptr + np.concatenate([[0], np.cumsum(~free)])
     return sp.csr_matrix((data, indices, indptr), shape=C.shape)
 
@@ -209,7 +209,7 @@ def _constant_tridiagonal(A: sp.csr_matrix, name: str) -> np.ndarray:
 
 
 class TensorPair:
-    """The 1D factors of a 2D pair M = M1 (x) M1, K = K1 (x) M1 + M1 (x) K1.
+    """The spectral data of a 2D pair M = M1 (x) M1, K = K1 (x) M1 + M1 (x) K1.
 
     Vertices are numbered lexicographically on an n1-by-n1 lattice.  The
     interior 1D matrices M1i, K1i (M1, K1 without their first and last rows
@@ -220,15 +220,13 @@ class TensorPair:
     with mu_k = a_m + 2 b_m cos(pi k/(n+1)) and kappa_k likewise.
     ``bands`` holds the bands of M1 and K1 (``_constant_tridiagonal``),
     read once for these eigenpairs and for the 2D build in
-    ``tensor_product_pair``.  ``interior_eig`` is (lam, mu) with
-    lam = kappa / mu.  The lattices ``lam_sum`` = lam_a + lam_b and
-    ``mu_prod`` = mu_a mu_b are formed at the first block, not with the
-    pair: assembly's peak memory does not hold them.
+    ``tensor_product_pair``; the pair keeps no 1D matrix.  ``interior_eig``
+    is (lam, mu) with lam = kappa / mu.  The lattices ``lam_sum`` =
+    lam_a + lam_b and ``mu_prod`` = mu_a mu_b are formed at the first block,
+    not with the pair: assembly's peak memory does not hold them.
     """
 
     def __init__(self, M1: sp.csr_matrix, K1: sp.csr_matrix):
-        self.M1 = M1
-        self.K1 = K1
         self.n1 = M1.shape[0]
         if self.n1 < 3:
             raise ValueError("tensor_product_pair needs at least one interior vertex")
@@ -254,25 +252,17 @@ class TensorPair:
     def mu_prod(self) -> np.ndarray:
         return np.multiply.outer(self.interior_eig[1], self.interior_eig[1])
 
-    @functools.cached_property
-    def _sine(self):
-        n = self.n1 - 2
-        k = np.arange(1, n + 1)
-        # sin(pi r/(n+1)) with r = j k reduced modulo the period 2(n+1)
-        return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
-
     def sine(self, X) -> None:
-        """Overwrite the interiors of the lattices X, shape (k, n1, n1), with
-        S X S, their sine coordinates, and keep the boundary: as S S = I this
-        is its own inverse, and it keeps the 2-norm.  A complex X is
-        transformed as its real and imaginary lattices, in place: two real
-        products cost less than one complex product with S cast to complex."""
-        if np.iscomplexobj(X):
-            self.sine(X.real)
-            self.sine(X.imag)
-            return
-        S = self._sine
-        X[:, 1:-1, 1:-1] = S @ X[:, 1:-1, 1:-1] @ S
+        """Overwrite the interiors of the lattices X, shape (k, n1, n1), real
+        or complex, with S X S, their sine coordinates, and keep the boundary:
+        as S S = I this is its own inverse, and it keeps the 2-norm.  S X S is
+        the orthonormal DST-I of each interior along both axes, which costs
+        O(n^2 log n) per lattice."""
+        # imported here: scipy.fft loads scipy.special, about 5 MB of peak
+        # RSS that a run with no tensor pair never needs
+        import scipy.fft
+
+        X[:, 1:-1, 1:-1] = scipy.fft.dstn(X[:, 1:-1, 1:-1], type=1, axes=(1, 2), norm="ortho")
 
     def diagonal(self, alpha: complex, dt: complex) -> np.ndarray:
         """D = alpha + dt*lam_sum, complex when alpha or dt is: the block
@@ -301,7 +291,7 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     holds the columns (i + oi, a + oa), oi and oa in -1, 0, 1, that lie on
     the lattice, explicit zeros included.  The entries are the products and
     sums that ``scipy.sparse.kron`` and a CSR sum form, bit for bit.  The
-    two results carry their factors, so that ``factorize_block`` solves their
+    two results carry their pair, so that ``factorize_block`` solves their
     boundary-constrained blocks by fast diagonalization.  Every other
     ``SparseMatrix``, copies of these two included, carries none.
     """

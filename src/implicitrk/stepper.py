@@ -44,6 +44,7 @@ from .bcs import (
     BcMethod,
     DirichletBC,
     constrain_stage_system,
+    of_shape,
     stage_bc_values,
 )
 from .precond import (
@@ -187,6 +188,10 @@ class SemidiscreteProblem:
     def __post_init__(self):
         if self.u0 is not None:
             self.u0 = np.asarray(self.u0, dtype=float)
+        for name in ("mass", "stiffness"):
+            A = getattr(self, name)
+            if A is not None and A.shape != (self.m, self.m):
+                raise ValueError(f"{name} has shape {A.shape}, expected ({self.m}, {self.m})")
         bc = self.dirichlet
         if bc is not None and len(bc.dofs) and bc.dofs.max() >= self.m:
             raise ValueError(
@@ -201,7 +206,7 @@ class SemidiscreteProblem:
                                  "the stiffness is its Jacobian")
             M, K, f = self.mass, self.stiffness, self.load
             self.residual = lambda t, u, udot: (spmv(M, udot) + spmv(K, u)
-                                                - _of_shape("load", f(t), u.shape))
+                                                - of_shape("load", f(t), u.shape))
             self.jacobian_u = lambda t, u: K
             return
         for attr in ("stiffness", "load"):
@@ -214,14 +219,6 @@ class SemidiscreteProblem:
     @property
     def is_linear(self) -> bool:
         return self._linear
-
-
-def _of_shape(callback, value, shape):
-    """``value`` unless its shape is not ``shape``: numpy would broadcast it."""
-    value = np.asarray(value)
-    if value.shape != shape:
-        raise ValueError(f"{callback} returned shape {value.shape}, expected {shape}")
-    return value
 
 
 class StageSystem:
@@ -275,11 +272,11 @@ class StageSystem:
         if states is None and p.is_linear:
             Ku = spmv(p.stiffness, self.u)
             for i, ti in enumerate(self.times):
-                np.subtract(Ku, _of_shape("load", p.load(ti), Ku.shape), out=R[i])
+                np.subtract(Ku, of_shape("load", p.load(ti), Ku.shape), out=R[i])
             return R
         U, Kv = states if states is not None else self.states(self.start())
         for i, ti in enumerate(self.times):
-            R[i] = _of_shape("residual", p.residual(ti, U[i], Kv[i]), R[i].shape)
+            R[i] = of_shape("residual", p.residual(ti, U[i], Kv[i]), R[i].shape)
         return R
 
     def jacobian(self, U=None) -> KroneckerStageOperator:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestStageValues:
         bc = bc_with([0], lambda t: np.array([1.0]))
         with pytest.raises(ValueError, match="g_dot"):
             stage_bc_values(BcMethod.ODE, tab, bc, np.zeros(1), 0.0, 0.1)
+
+    @pytest.mark.parametrize("method, callback", [(BcMethod.DAE, "g"), (BcMethod.ODE, "g_dot")])
+    @pytest.mark.parametrize("value", [np.array([1.0]), 1.0, np.ones(3)], ids=["1", "0-D", "3"])
+    def test_data_of_the_wrong_shape_is_refused(self, method, callback, value):
+        # numpy would broadcast a scalar or a length-1 value to every dof
+        full = lambda t: np.ones(2)
+        data = {"g": full, "g_dot": full, callback: lambda t: value}
+        bc = bc_with([0, 4], **data)
+        shape = re.escape(str(np.shape(value)))
+        with pytest.raises(ValueError, match=rf"^{callback} returned shape {shape}, "
+                                             r"expected \(2,\)$"):
+            stage_bc_values(method, radau_iia(2), bc, np.zeros(5), 0.0, 0.1)
 
     def test_ode_w_and_value_forms_map_through_tableau(self):
         tab = radau_iia(2)

@@ -3,6 +3,9 @@ so that, for one, the stage preconditioner never learns about the boundary
 treatment of the operator it preconditions."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,13 @@ def test_imports_only_lower_layers(name):
 
 def test_precond_imports_nothing_from_bcs():
     assert "bcs" not in package_imports("precond")
+
+
+def test_importing_the_package_loads_no_fft():
+    # scipy.fft loads scipy.special, about 5 MB of peak RSS; only a tensor
+    # pair's sine transform needs it, and imports it on first use
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, implicitrk, implicitrk.cli; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,14 +4,14 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from implicitrk import precond
-from implicitrk.bcs import DirichletBC, constrain_stage_system
+from implicitrk.bcs import BcMethod, DirichletBC, constrain_stage_system
 from implicitrk.precond import (
     EIGEN_COND_MAX,
     PreconditionerKind,
     build_preconditioner,
     butcher_eigenbasis,
 )
-from implicitrk.problems import StructuredGrid, assemble_heat
+from implicitrk.problems import StructuredGrid, assemble_heat, mms_heat_problem
 from implicitrk.sparsela import (
     FactorizationError,
     KroneckerStageOperator,
@@ -20,6 +20,7 @@ from implicitrk.sparsela import (
     Splitting,
     fgmres,
 )
+from implicitrk.stepper import SemidiscreteProblem, StageFormulation, TimeStepper
 from implicitrk.tableaux import (
     ButcherTableau,
     SingularFactorizationError,
@@ -535,6 +536,33 @@ def _random_spd(rng, m):
     return B @ B.T + m * np.eye(m)
 
 
+def random_tableau(kind, form, s, shape, rng):
+    """A random s-stage tableau, lower or upper triangular or full, and its
+    surrogate under ``kind``; a draw that ``form`` or ``kind`` cannot build
+    on is rejected."""
+    A = np.diag(rng.uniform(0.1, 1.5, s) * rng.choice([-1.0, 1.0], s))
+    off = rng.uniform(-1.0, 1.0, (s, s))
+    if shape != "upper":
+        A += np.tril(off, -1)
+    if shape != "lower":
+        A += np.triu(off, 1)
+    tab = ButcherTableau(A, np.full(s, 1.0 / s), A.sum(axis=1), 1, 1, "random")
+    assume(form is Splitting.AI or tab.invertible)
+    if kind is PreconditionerKind.EIGEN:
+        assume(butcher_eigenbasis(A)[2] <= EIGEN_COND_MAX)
+        return tab, A
+    if kind in (PreconditionerKind.RANA_LD, PreconditionerKind.RANA_DU):
+        try:
+            fac = ldu_factor(tab)
+        except SingularFactorizationError:
+            assume(False)
+        return tab, (fac.L @ np.diag(fac.D) if kind is PreconditionerKind.RANA_LD
+                     else np.diag(fac.D) @ fac.U)
+    return tab, {PreconditionerKind.BLOCK_DIAGONAL: np.diag(np.diag(A)),
+                 PreconditionerKind.BLOCK_LOWER: np.tril(A),
+                 PreconditionerKind.BLOCK_UPPER: np.triu(A)}[kind]
+
+
 @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 @settings(max_examples=30, deadline=None)
@@ -553,35 +581,69 @@ def test_apply_matches_dense_constrained_surrogate(kind, form, s, m, shape, per_
     # (C1, C2) the coefficients of Atilde, assembled densely with identity rows
     # and columns on the Dirichlet dofs, and solved densely
     rng = np.random.default_rng(seed)
-    A = np.diag(rng.uniform(0.1, 1.5, s) * rng.choice([-1.0, 1.0], s))
-    off = rng.uniform(-1.0, 1.0, (s, s))
-    if shape != "upper":
-        A += np.tril(off, -1)
-    if shape != "lower":
-        A += np.triu(off, 1)
-    tab = ButcherTableau(A, np.full(s, 1.0 / s), A.sum(axis=1), 1, 1, "random")
-    assume(form is Splitting.AI or tab.invertible)
-    if kind is PreconditionerKind.EIGEN:
-        assume(not per_stage and butcher_eigenbasis(A)[2] <= EIGEN_COND_MAX)
-        A_tilde = A
-    elif kind in (PreconditionerKind.RANA_LD, PreconditionerKind.RANA_DU):
-        try:
-            fac = ldu_factor(tab)
-        except SingularFactorizationError:
-            assume(False)
-        A_tilde = (fac.L @ np.diag(fac.D) if kind is PreconditionerKind.RANA_LD
-                   else np.diag(fac.D) @ fac.U)
-    else:
-        A_tilde = {PreconditionerKind.BLOCK_DIAGONAL: np.diag(np.diag(A)),
-                   PreconditionerKind.BLOCK_LOWER: np.tril(A),
-                   PreconditionerKind.BLOCK_UPPER: np.triu(A)}[kind]
+    tab, A_tilde = random_tableau(kind, form, s, shape, rng)
+    assume(kind is not PreconditionerKind.EIGEN or not per_stage)
     M = SparseMatrix.from_dense(_random_spd(rng, m))
     Ks = [SparseMatrix.from_dense(_random_spd(rng, m) / m) for _ in range(s if per_stage else 1)]
     dofs = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))),
                     dtype=np.int64)
     dense = dense_pc_matrix(A_tilde, form, M, Ks, dt, dofs)
     pc = build_preconditioner(kind, tab, M, Ks if per_stage else Ks[0], dt, form, dofs)
-    assert pc.exact == np.array_equal(A_tilde, A)
+    assert pc.exact == np.array_equal(A_tilde, tab.A)
     r = rng.standard_normal(s * m)
     ref = np.linalg.solve(dense, r)
     assert np.linalg.norm(pc.apply(r) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@settings(max_examples=8, deadline=None)
+@given(
+    s=st.integers(min_value=1, max_value=4),
+    N=st.integers(min_value=2, max_value=8),
+    shape=st.sampled_from(["lower", "upper", "full"]),
+    dt=st.floats(min_value=0.01, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tensor_path_matches_its_superlu_copy(kind, form, s, N, shape, dt, seed):
+    # The same stage systems on the 2D heat pair, constrained on its whole
+    # boundary, where every block is a fast diagonalization and the sweep
+    # and GMRES run in sine coordinates, and on SuperLU copies of M and K,
+    # which carry no pair
+    rng = np.random.default_rng(seed)
+    tab, A_tilde = random_tableau(kind, form, s, shape, rng)
+    problem = mms_heat_problem(StructuredGrid(2, N))
+    M, K, dofs = problem.mass, problem.stiffness, problem.dirichlet.dofs
+    Mc, Kc = (SparseMatrix.from_scipy(A.to_scipy()) for A in (M, K))
+    # draws near a singular surrogate or stage operator measure only rounding
+    conds = [np.linalg.cond(dense_pc_matrix(B, form, M, [K], dt, dofs)) for B in (A_tilde, tab.A)]
+    assume(max(conds) < 1e5)
+    # GMRES restarted at the problem size; two solves that each meet the
+    # relative residual rtol differ by at most 2 rtol cond, relative
+    krylov = KrylovSettings(rtol=1e-10, restart=s * M.nrows, maxit=2 * s * M.nrows)
+    tol = 2 * krylov.rtol * max(conds)
+    pc, pcc = (build_preconditioner(kind, tab, M_, K_, dt, form, dofs)
+               for M_, K_ in ((M, K), (Mc, Kc)))
+    assert all(f.pair is not None for f in pc.block_factors)
+    assert all(f.pair is None for f in pcc.block_factors)
+    r = rng.standard_normal(s * M.nrows)
+    ref = pcc.apply(r)
+    assert np.linalg.norm(pc.apply(r) - ref) <= 1e-13 * max(conds) * np.linalg.norm(ref)
+    if kind is not PreconditionerKind.EIGEN:
+        # GMRES in sine coordinates on the pair, FGMRES through the copy's
+        # factors on the copy's constrained stage operator
+        op = KroneckerStageOperator(*form.coefficients(tab.A), Mc, Kc, dt)
+        cop, rhs = constrain_stage_system(op, rng.standard_normal(op.n), problem.dirichlet,
+                                          rng.standard_normal((s, len(dofs))))
+        got, want = pc.sine_solve(rhs, krylov), fgmres(cop, rhs, pcc, krylov)
+        assert np.linalg.norm(got.x - want.x) <= tol * np.linalg.norm(want.x)
+        assert np.linalg.norm(cop.apply(got.x) - rhs) <= 2 * krylov.rtol * np.linalg.norm(rhs)
+    # one linear step on each; an AI step without an invertible A takes g'
+    formulation = {Splitting.AI: StageFormulation.STAGE_DERIVATIVE_AI,
+                   Splitting.IA: StageFormulation.STAGE_DERIVATIVE_IA}[form]
+    bc_method = BcMethod.DAE if tab.invertible else BcMethod.ODE
+    copy = SemidiscreteProblem(m=problem.m, mass=Mc, stiffness=Kc, load=problem.load,
+                               dirichlet=problem.dirichlet, u0=problem.u0)
+    u, uc = (TimeStepper(p, tab, dt, formulation, bc_method, krylov=krylov,
+                         pc_kind=kind).step(p)[0] for p in (problem, copy))
+    assert np.linalg.norm(u - uc) <= tol * np.linalg.norm(uc)

@@ -1037,6 +1037,17 @@ class TestValidation:
                 load=lambda t: np.zeros(5), dirichlet=bc, u0=np.zeros(5),
             )
 
+    @pytest.mark.parametrize("name, shape", [
+        ("mass", (4, 4)), ("mass", (5, 4)), ("stiffness", (4, 4)), ("stiffness", (5, 4)),
+    ], ids=["mass 4x4", "mass 5x4", "stiffness 4x4", "stiffness 5x4"])
+    def test_matrices_of_the_wrong_size_are_refused(self, name, shape):
+        # caught at construction, not by spmv inside the first step
+        mats = {"mass": np.eye(5), "stiffness": np.eye(5), name: np.ones(shape)}
+        match = rf"^{name} has shape {re.escape(str(shape))}, expected \(5, 5\)$"
+        with pytest.raises(ValueError, match=match):
+            SemidiscreteProblem(m=5, load=lambda t: np.zeros(5), u0=np.zeros(5),
+                                **{k: SparseMatrix.from_dense(v) for k, v in mats.items()})
+
     def test_repeated_runs_reproduce_bit_for_bit(self):
         # Rana-LD on RadauIIA(2) is inexact, so every step goes through FGMRES
         p = incompatible_heat_1d(16)
