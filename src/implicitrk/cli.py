@@ -56,8 +56,27 @@ def _tableau(spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _krylov(args) -> KrylovSettings:
-    return KrylovSettings(rtol=args.rtol)
+def _stepper(args, problem, tab, dt, bc_method=None) -> TimeStepper:
+    """A stepper under the parsed solver flags: --stage-type and --splitting,
+    --rtol, --pc, and --bc-method unless ``bc_method`` is given."""
+    return TimeStepper(
+        problem, tab, dt,
+        formulation=_formulation(args),
+        bc_method=BcMethod(args.bc_method) if bc_method is None else bc_method,
+        krylov=KrylovSettings(rtol=args.rtol),
+        pc_kind=_pc_kind(args.pc),
+    )
+
+
+def _attempt(label, run):
+    """``run()``, or None when its steps fail: a StepFailure from ``advance``
+    is reported under ``label``, and the sweep that ``run`` is an entry of
+    goes on to the next."""
+    try:
+        return run()
+    except StepFailure as exc:
+        print(f"{label} failed: {exc}", file=sys.stderr)
+        return None
 
 
 def _positive_float(text):
@@ -122,28 +141,9 @@ def cmd_tableau(args) -> int:
     return 0
 
 
-def _norm_series(problem, tab, bc_method, dt, nsteps, krylov, pc_kind, formulation):
-    stepper = TimeStepper(
-        problem, tab, dt,
-        formulation=formulation,
-        bc_method=bc_method,
-        krylov=krylov,
-        pc_kind=pc_kind,
-    )
-    grid = problem.grid
-    rows = [(0.0, problems.fe_l2_norm(grid, stepper.u))]
-    for _ in range(nsteps):
-        u, _ = stepper.step(problem)
-        rows.append((stepper.t, problems.fe_l2_norm(grid, u)))
-    return rows
-
-
 def cmd_bc_compare(args) -> int:
     tab = _tableau(args.tableau)
     problem = problems.incompatible_heat_1d(args.nx)
-    krylov = _krylov(args)
-    outdir = Path(args.out)
-    formulation = _formulation(args)
     # each row is a whole step, so the series must end on one
     ratio = args.tfinal / args.dt
     nsteps = round(ratio)
@@ -152,38 +152,30 @@ def cmd_bc_compare(args) -> int:
             f"--tfinal {args.tfinal:g} is not a whole number of --dt {args.dt:g} steps"
         )
     for method, fname in ((BcMethod.DAE, "daenorm.csv"), (BcMethod.ODE, "odenorm.csv")):
-        rows = _norm_series(
-            problem, tab, method, args.dt, nsteps, krylov,
-            _pc_kind(args.pc), formulation,
-        )
-        _write_csv(outdir / fname, "t,nrmu", [(f"{t:.17g}", f"{v:.17g}") for t, v in rows])
+        stepper = _stepper(args, problem, tab, args.dt, method)
+        rows = [(0.0, problems.fe_l2_norm(problem.grid, stepper.u))]
+        for _ in range(nsteps):
+            u, _ = stepper.step(problem)
+            rows.append((stepper.t, problems.fe_l2_norm(problem.grid, u)))
+        _write_csv(Path(args.out) / fname, "t,nrmu",
+                   [(f"{t:.17g}", f"{v:.17g}") for t, v in rows])
     return 0
 
 
 def cmd_converge(args) -> int:
     tab = _tableau(args.tableau)
-    krylov = _krylov(args)
-    pc = _pc_kind(args.pc)
-    formulation = _formulation(args)
-    bc_method = BcMethod(args.bc_method)
     if args.mode == "spatial":
         mms = problems.heat_mms_2d()
-        rows = []
-        for n in args.n_list:
-            try:
-                grid = problems.StructuredGrid(2, n)
-                problem = problems.mms_heat_problem(grid, mms)
-                stepper = TimeStepper(
-                    problem, tab, args.cfl / n, formulation=formulation,
-                    bc_method=bc_method, krylov=krylov, pc_kind=pc,
-                )
-                u, _ = advance(stepper, problem, args.tfinal)
-                l2 = problems.l2_error(grid, u, mms.u, args.tfinal)
-                h1 = problems.h1_error(grid, u, mms.u, mms.grad, args.tfinal)
-                rows.append((n, f"{l2:.17g}", f"{h1:.17g}"))
-            except (NonConvergenceError, StepFailure) as exc:
-                print(f"N={n} failed: {exc}", file=sys.stderr)
-                rows.append((n, None, None))
+
+        def errors(n):
+            grid = problems.StructuredGrid(2, n)
+            problem = problems.mms_heat_problem(grid, mms)
+            u, _ = advance(_stepper(args, problem, tab, args.cfl / n), problem, args.tfinal)
+            return (f"{problems.l2_error(grid, u, mms.u, args.tfinal):.17g}",
+                    f"{problems.h1_error(grid, u, mms.u, mms.grad, args.tfinal):.17g}")
+
+        rows = [(n, *(_attempt(f"N={n}", lambda: errors(n)) or (None, None)))
+                for n in args.n_list]
         _write_csv(args.out, "N,L2err,H1err", rows)
         return 0
     # temporal sweep on a fixed problem; only the problem and its error differ
@@ -197,94 +189,61 @@ def cmd_converge(args) -> int:
                 "prothero-robinson": problems.prothero_robinson}[args.problem]()
         problem = case.problem
         error = lambda u: abs(u[0] - case.exact(args.tfinal))
+
+    def error_at(dt):
+        return error(advance(_stepper(args, problem, tab, dt), problem, args.tfinal)[0])
+
+    errs = [_attempt(f"dt={dt}", lambda: error_at(dt)) for dt in args.dt_list]
     rows = []
-    errs = []
-    for k, dt in enumerate(args.dt_list):
-        try:
-            stepper = TimeStepper(
-                problem, tab, dt, formulation=formulation,
-                bc_method=bc_method, krylov=krylov, pc_kind=pc,
-            )
-            u, _ = advance(stepper, problem, args.tfinal)
-            err = error(u)
-            errs.append(err)
-            order = (
-                f"{np.log(errs[-2] / err) / np.log(args.dt_list[k - 1] / dt):.5g}"
-                if len(errs) > 1 and err > 0 and errs[-2] > 0
-                else None
-            )
-            rows.append((f"{dt:.17g}", f"{err:.17g}", order))
-        except (NonConvergenceError, StepFailure) as exc:
-            print(f"dt={dt} failed: {exc}", file=sys.stderr)
-            errs.append(np.nan)
-            rows.append((f"{dt:.17g}", None, None))
+    for k, (dt, err) in enumerate(zip(args.dt_list, errs)):
+        prev = errs[k - 1] if k else None
+        ordered = prev is not None and err is not None and prev > 0 and err > 0
+        order = f"{np.log(prev / err) / np.log(args.dt_list[k - 1] / dt):.5g}" if ordered else None
+        rows.append((f"{dt:.17g}", None if err is None else f"{err:.17g}", order))
     _write_csv(args.out, "dt,err,order", rows)
     return 0
 
 
-def _timed_steps(problem, tab, dt, nsteps, solves_per_step, **options):
-    """Stepping seconds, mean iterations per linear solve and setup seconds
-    of ``nsteps`` steps by a new ``TimeStepper``, which does
-    ``solves_per_step`` linear solves a step; a step that fails records -1
-    iterations.  The blocks are factorized in setup, so that their cost stays
-    out of the stepping time."""
-    t_setup = time.perf_counter()
-    stepper = TimeStepper(problem, tab, dt, **options)
-    stepper.setup(problem)
-    setup = time.perf_counter() - t_setup
-    t0 = time.perf_counter()
-    try:
-        total_its = 0
-        for _ in range(nsteps):
-            _, rep = stepper.step(problem)
-            total_its += rep.krylov_iters
-    except (NonConvergenceError, StepFailure):
-        return time.perf_counter() - t0, -1.0, setup
-    return time.perf_counter() - t0, total_its / (nsteps * solves_per_step), setup
+def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, tabs=None):
+    """Mean FGMRES iterations per linear solve of ``nsteps`` steps on 2D heat
+    for each tableau in ``tabs``, RadauIIA(1..4) by default.
 
-
-def run_precond_bench(nx, dt, nsteps, pc_kind, formulation, rtol=1e-8, stages=(1, 2, 3, 4)):
-    """Mean FGMRES iterations per linear solve for RadauIIA(s), s in stages.
-
-    Returns rows (s, stepping seconds, mean iterations, setup seconds); a
-    non-convergent configuration records -1 iterations.
+    Returns rows (s, stepping seconds, mean iterations, setup seconds).  A
+    coupled step does one linear solve, a DIRK step s.  The blocks are
+    factorized in setup, so that their cost stays out of the stepping time.
+    A tableau whose steps fail records -1 iterations.
     """
-    mms = problems.heat_mms_2d()
-    grid = problems.StructuredGrid(2, nx)
-    problem = problems.mms_heat_problem(grid, mms)
+    if tabs is None:
+        tabs = [tableaux.radau_iia(s) for s in range(1, 5)]
+    problem = problems.mms_heat_problem(problems.StructuredGrid(2, nx))
     krylov = KrylovSettings(rtol=rtol)
-    return [
-        (s, *_timed_steps(problem, tableaux.radau_iia(s), dt, nsteps, 1,
-                          formulation=formulation, krylov=krylov, pc_kind=pc_kind))
-        for s in stages
-    ]
-
-
-def run_dirk_bench(nx, dt, nsteps, rtol=1e-8):
-    """DIRK comparison rows: iterations averaged over stages and steps."""
-    mms = problems.heat_mms_2d()
-    grid = problems.StructuredGrid(2, nx)
-    problem = problems.mms_heat_problem(grid, mms)
-    krylov = KrylovSettings(rtol=rtol)
-    return [
-        (tab.s, *_timed_steps(problem, tab, dt, nsteps, tab.s,
-                              formulation=StageFormulation.DIRK, krylov=krylov))
-        for tab in (tableaux.radau_iia(1), tableaux.alexander_dirk(), tableaux.wsodirk433())
-    ]
+    rows = []
+    for tab in tabs:
+        t_setup = time.perf_counter()
+        stepper = TimeStepper(problem, tab, dt, formulation=formulation, krylov=krylov,
+                              pc_kind=pc_kind)
+        stepper.setup(problem)
+        t0 = time.perf_counter()
+        reports = _attempt(tab.name, lambda: advance(stepper, problem, nsteps * dt)[1])
+        elapsed = time.perf_counter() - t0
+        solves = nsteps * (tab.s if formulation is StageFormulation.DIRK else 1)
+        its = -1.0 if reports is None else sum(rep.krylov_iters for rep in reports) / solves
+        rows.append((tab.s, elapsed, its, t0 - t_setup))
+    return rows
 
 
 def cmd_precond_bench(args) -> int:
     dt = args.dt if args.dt is not None else 1.0 / args.nx
-    pc = None
-    if args.stage_type == "dirk":
-        rows = run_dirk_bench(args.nx, dt, args.steps, rtol=args.rtol)
+    formulation = _formulation(args)
+    if formulation is StageFormulation.DIRK:
+        # every kind preconditions a DIRK stage by its exact block
+        pc = None
+        tabs = [tableaux.radau_iia(1), tableaux.alexander_dirk(), tableaux.wsodirk433()]
     else:
-        pc = _pc_kind(args.pc)
+        pc, tabs = _pc_kind(args.pc), None
         if pc is None:
             raise ConfigError("precond-bench needs a preconditioner kind")
-        rows = run_precond_bench(
-            args.nx, dt, args.steps, pc, _formulation(args), rtol=args.rtol
-        )
+    rows = run_precond_bench(args.nx, dt, args.steps, pc, formulation, rtol=args.rtol, tabs=tabs)
     for s, elapsed, its, setup in rows:
         # the eigen kind's accuracy rests on the conditioning of RadauIIA(s)'s eigenbasis
         cond = (f", cond(T) {butcher_eigenbasis(tableaux.radau_iia(s).A)[2]:.4g}"

@@ -33,7 +33,7 @@ from .sparsela import (
     fgmres,
     stage_blocks,
 )
-from .tableaux import ButcherTableau, ldu_factor
+from .tableaux import ButcherTableau, SingularFactorizationError, ldu_factor
 
 
 class PreconditionerKind(Enum):
@@ -278,11 +278,11 @@ def build_preconditioner(
     """
     Ks = stage_blocks(K, tab.s)
     dofs = np.asarray(dirichlet if dirichlet is not None else [], dtype=np.int64)
-    A_tilde = _surrogate(kind, tab)
     try:
         # a singular surrogate is refused in either form
+        A_tilde = _surrogate(kind, tab)
         np.linalg.inv(A_tilde)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, SingularFactorizationError) as exc:
         raise FactorizationError(
             f"{kind.value} surrogate of {tab.name!r} is singular"
         ) from exc

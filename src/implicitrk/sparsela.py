@@ -262,7 +262,10 @@ class TensorPair:
         # RSS that a run with no tensor pair never needs
         import scipy.fft
 
-        X[:, 1:-1, 1:-1] = scipy.fft.dstn(X[:, 1:-1, 1:-1], type=1, axes=(1, 2), norm="ortho")
+        # scipy transforms the interior view in its own buffer where it can;
+        # the assignment is then a self-copy, and keeps the result where not
+        V = X[:, 1:-1, 1:-1]
+        X[:, 1:-1, 1:-1] = scipy.fft.dstn(V, type=1, axes=(1, 2), norm="ortho", overwrite_x=True)
 
     def diagonal(self, alpha: complex, dt: complex) -> np.ndarray:
         """D = alpha + dt*lam_sum, complex when alpha or dt is: the block
@@ -534,8 +537,10 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
     method, callables or dense arrays.  The iteration count reported is the
     number of preconditioned operator applications.  Breakdown of the
     Arnoldi recurrence (Hessenberg subdiagonal below 1e-14*||b||) ends the
-    solve: it has converged when the residual estimate meets the target, and
-    otherwise the operator is numerically singular on the Krylov space and
+    cycle: the solve has converged when the residual estimate meets the
+    target, and otherwise it restarts from the cycle's solution.  When that
+    restart's true residual is no smaller than the cycle's first, the
+    operator is numerically singular on the Krylov space and
     NonConvergenceError is raised.  A rotated Hessenberg column that is
     exactly zero raises it too, as does a non-finite residual estimate.
     """
@@ -606,17 +611,8 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
                     f"{iterations}: the operator or preconditioner returned a non-finite value",
                     residuals,
                 )
-            if residuals[-1] <= target:
+            if residuals[-1] <= target or lucky:
                 break
-            if lucky:
-                # the space is invariant, yet its least-squares residual misses
-                # the target: the pivot d is tiny and x would be garbage
-                raise NonConvergenceError(
-                    f"fgmres: breakdown at iteration {iterations} above the target: "
-                    f"the operator is numerically singular on the Krylov space "
-                    f"(residual {residuals[-1]:.3e}, target {target:.3e})",
-                    residuals,
-                )
         # update x from the least-squares solution of the cycle
         k = j + 1
         y = np.zeros(k)
@@ -626,13 +622,22 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
             x += yi * zi
         if residuals[-1] <= target:
             return FgmresResult(x, iterations, residuals)
+        r = b - A(x)
+        if lucky and not np.linalg.norm(r) < beta:
+            # the space is invariant, yet its least-squares solution gains
+            # nothing: the pivot d is tiny and x is garbage
+            raise NonConvergenceError(
+                f"fgmres: breakdown at iteration {iterations} above the target: "
+                f"the operator is numerically singular on the Krylov space "
+                f"(residual {np.linalg.norm(r):.3e}, target {target:.3e})",
+                residuals,
+            )
         if iterations >= st.maxit:
             raise NonConvergenceError(
                 f"fgmres: no convergence in {st.maxit} iterations "
                 f"(residual {residuals[-1]:.3e}, target {target:.3e})",
                 residuals,
             )
-        r = b - A(x)
 
 
 # ---------------------------------------------------------------------------

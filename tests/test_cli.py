@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from implicitrk.cli import build_parser, main
+from implicitrk.sparsela import NonConvergenceError
+from implicitrk.stepper import StageFormulation, TimeStepper
 
 
 def read_csv(path):
@@ -220,12 +222,12 @@ class TestPrecondBench:
     def test_all_kinds_identical_at_single_stage(self):
         from implicitrk.cli import run_precond_bench
         from implicitrk.precond import PreconditionerKind
-        from implicitrk.stepper import StageFormulation
+        from implicitrk.tableaux import radau_iia
 
         its = [
             run_precond_bench(
                 8, 0.125, 2, kind,
-                StageFormulation.STAGE_DERIVATIVE_IA, stages=(1,)
+                StageFormulation.STAGE_DERIVATIVE_IA, tabs=[radau_iia(1)]
             )[0][2]
             for kind in PreconditionerKind
         ]
@@ -320,8 +322,7 @@ def test_solver_flags_reach_every_stepper(monkeypatch, tmp_path):
             steppers.append(self)
 
     monkeypatch.setattr(cli, "TimeStepper", Recording)
-    runs = [("converge", argv) for argv in FLAG_RUNS["converge"]]
-    runs += [("bc-compare", argv) for argv in FLAG_RUNS["bc-compare"]]
+    runs = [(command, argv) for command in sorted(FLAG_RUNS) for argv in FLAG_RUNS[command]]
     for k, (command, argv) in enumerate(runs):
         steppers.clear()
         assert main([command, *argv, "--rtol", "1e-9", "--pc", "gs-lower",
@@ -329,4 +330,59 @@ def test_solver_flags_reach_every_stepper(monkeypatch, tmp_path):
         assert steppers, argv
         for st in steppers:
             assert st.krylov.rtol == 1e-9, argv
-            assert st.pc_kind is PreconditionerKind.BLOCK_LOWER, argv
+            # precond-bench's DIRK mode solves each stage by its exact block
+            dirk = command == "precond-bench" and st.formulation is StageFormulation.DIRK
+            assert st.pc_kind is (None if dirk else PreconditionerKind.BLOCK_LOWER), argv
+
+
+def fail_steps(monkeypatch, when):
+    """Make ``TimeStepper.step`` raise NonConvergenceError on the steppers
+    for which ``when(stepper)`` holds."""
+    step = TimeStepper.step
+
+    def failing(self, problem=None):
+        if when(self):
+            raise NonConvergenceError("injected failure", [1.0])
+        return step(self, problem)
+
+    monkeypatch.setattr(TimeStepper, "step", failing)
+
+
+class TestFailedEntries:
+    # one configuration of a sweep fails: its row is left empty, the others
+    # are still run, and the command succeeds
+
+    def test_spatial_sweep(self, monkeypatch, tmp_path):
+        fail_steps(monkeypatch, lambda st: st.problem.m == 9 ** 2)
+        out = tmp_path / "spatial.csv"
+        assert main(["converge", "--mode", "spatial", "--n-list", "4", "8", "16",
+                     "--tfinal", "0.25", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["4", "8", "16"]
+        assert rows[1][1:] == ["", ""]
+        assert all(v != "" for r in (rows[0], rows[2]) for v in r)
+
+    def test_temporal_sweep(self, monkeypatch, tmp_path):
+        fail_steps(monkeypatch, lambda st: st.dt == 0.1)
+        out = tmp_path / "temporal.csv"
+        assert main(["converge", "--mode", "temporal", "--problem", "dahlquist",
+                     "--dt-list", "0.2", "0.1", "0.05", "0.025", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025]
+        assert rows[1][1:] == ["", ""]
+        # the row after the failure has an error but no order to take
+        assert rows[2][1] != "" and rows[2][2] == ""
+        assert float(rows[3][2]) == pytest.approx(3.0, abs=0.2)
+
+    @pytest.mark.parametrize("mode", [["--pc", "jacobi"], ["--stage-type", "dirk"]],
+                             ids=["coupled", "dirk"])
+    def test_precond_bench(self, mode, monkeypatch, tmp_path, capsys):
+        fail_steps(monkeypatch, lambda st: st.tableau.s == 3)
+        out = tmp_path / "bench.csv"
+        assert main(["precond-bench", "--nx", "4", "--steps", "2", *mode,
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        its = {int(r[0]): float(r[2]) for r in rows}
+        assert its.pop(3) == -1
+        assert its and all(v >= 1 for v in its.values())
+        assert "s=3: " in capsys.readouterr().out

@@ -578,6 +578,21 @@ class TestAdvance:
         assert st.dt == 0.75
         assert st.t == pytest.approx(1.5)
 
+    def test_rana_on_a_zero_leading_minor_fails_the_step(self):
+        # A is invertible, but its first leading minor is zero, so it has no
+        # unpivoted LDU factorization and no Rana surrogate
+        from implicitrk.tableaux import ButcherTableau
+
+        tab = ButcherTableau([[0.0, 0.5], [0.5, 0.0]], [0.5, 0.5], [0.5, 0.5], 1, 1, "swap")
+        case = dahlquist()
+        st = TimeStepper(case.problem, tab, 0.1, formulation=IA,
+                         pc_kind=PreconditionerKind.RANA_LD)
+        with pytest.raises(StepFailure) as err:
+            advance(st, case.problem, 0.5)
+        assert isinstance(err.value.__cause__, FactorizationError)
+        assert "rana-ld surrogate of 'swap' is singular" in str(err.value)
+        assert err.value.completed_steps == 0
+
     def test_backwards_target_rejected(self):
         p = scalar_problem(1.0)
         st = TimeStepper(p, radau_iia(1), 0.1, t0=1.0)
