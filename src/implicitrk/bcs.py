@@ -41,7 +41,10 @@ class DirichletBC:
     g_dot: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        self.dofs = np.asarray(self.dofs, dtype=np.int64)
+        dofs = np.asarray(self.dofs)
+        if dofs.size and dofs.dtype.kind not in "iu":
+            raise ValueError(f"DirichletBC dofs must be integer indices, got dtype {dofs.dtype}")
+        self.dofs = dofs.astype(np.int64, copy=False)
         if self.dofs.ndim != 1:
             raise ValueError(f"DirichletBC dofs must be 1-D, got shape {self.dofs.shape}")
         if len(self.dofs) and self.dofs.min() < 0:

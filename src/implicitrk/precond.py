@@ -13,10 +13,10 @@ of Atilde, so it is preconditioned with the stage operator's own rule:
 A triangular surrogate gives diagonal blocks C1_ii M + dt C2_ii K_i, solved
 by one sweep over the stages, backward when Atilde has a nonzero entry above
 its diagonal and forward otherwise; on a tensor pair the sweep runs in the
-sine coordinates of the lattice interiors, where GMRES solves the linear stage
-system of A as well.  A preconditioner whose surrogate is A itself (the eigen
-kind, or a triangular kind on a triangular tableau) is ``exact``: a linear
-stage system can be solved by one application of it.
+sine coordinates of the lattice interiors.  Each kind solves the linear stage
+system of A it was built for (``solve``), by one application when its
+surrogate is A itself (``exact``: the eigen kind, or a triangular kind on a
+triangular tableau).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .sparsela import (
     FactorizationError,
+    FgmresResult,
     SparseMatrix,
     Splitting,
     factorize_block,
@@ -87,15 +88,14 @@ class StagePreconditioner:
     the sweep runs in the sine coordinates of the interiors of all stages
     (``TensorPair.sine``), where the constrained M is the pair's mu_prod and
     K is mu_prod * lam_sum: a coupling is an elementwise product and block
-    i's solve a division by its ``D``.  Boundary rows pass through.  Such a
-    preconditioner also solves the stage system of A in those coordinates
-    (``sine_solve``).
+    i's solve a division by its ``D``.  Boundary rows pass through.
 
-    Immutable once built; ``apply`` and ``sine_solve`` use only local
-    scratch, so a built preconditioner can be shared between concurrent
-    solves.  ``exact`` says that the surrogate is A, so that ``apply`` is the
-    exact inverse of the constrained stage operator built from the same M
-    and Ks.
+    ``solve`` solves the stage system of A, choosing the path from the
+    factors.  One stage (every DIRK stage) is the block with A_tilde = A.
+    Immutable once built; ``apply`` and ``solve`` use only local scratch, so
+    a built preconditioner can be shared between concurrent solves.
+    ``exact`` says that the surrogate is A, so that ``apply`` is the exact
+    inverse of the constrained stage operator built from the same M and Ks.
     """
 
     def __init__(self, A_tilde, A, form, M, Ks, dt, dofs):
@@ -111,7 +111,7 @@ class StagePreconditioner:
         ]
         pairs = {f.pair for f in self.block_factors}
         self._pair = pair = pairs.pop() if len(pairs) == 1 else None
-        # the stage operator's (C1, C2) for sine_solve, None for an identity,
+        # the stage operator's (C1, C2) for solve, None for an identity,
         # whose product it skips
         self._op_coefficients = [None if np.array_equal(C, np.eye(self.s)) else C
                                  for C in form.coefficients(A)]
@@ -177,12 +177,12 @@ class StagePreconditioner:
         Y /= self._pair.mu_prod
         self._pair.sine(X)
 
-    def sine_solve(self, rhs, settings):
-        """Solve the stage system this preconditioner was built for, op x = rhs
-        with op = C1 (x) M + dt * C2 (x) K, (C1, C2) the ``form`` coefficients
-        of A, constrained on the lattice boundary, by GMRES on op P in sine
-        coordinates: the ``FgmresResult``, with x in lattice values, or None
-        when the blocks do not share one ``TensorPair``.
+    def solve(self, op, rhs, settings) -> FgmresResult:
+        """Solve op x = rhs for ``op`` the constrained stage operator of A
+        this preconditioner was built for: by one ``apply`` when ``exact``
+        (1 iteration, residual NaN), by GMRES on op P in sine coordinates,
+        with no apply of ``op``, when the blocks share one ``TensorPair``,
+        and otherwise by FGMRES on ``op`` through this preconditioner.
 
         With F the ``TensorPair.sine`` of every stage, GMRES solves
         (F op P F) y = F rhs and x = P F y.  On the interior, P is the sweep
@@ -191,9 +191,11 @@ class StagePreconditioner:
         transform; boundary rows are the identity.  F is orthogonal, so the
         iterates are those of FGMRES through P on op, with the same ||rhs||.
         """
+        if self.exact:
+            return FgmresResult(self.apply(rhs), 1, [float("nan")])
         pair = self._pair
         if pair is None:
-            return None
+            return fgmres(op, rhs, self, settings)
         shape = (self.s, pair.n1, pair.n1)
         (C1, C2), dt_lam = self._op_coefficients, self._dt * pair.lam_sum
 
@@ -258,6 +260,10 @@ class EigenPreconditioner:
             # a real eigenvalue's block is real, and so is its component
             Z[k] = fac.solve(Y[k] if fac.dtype.kind == "c" else Y[k].real)
         return (self._T @ Z).real.ravel()
+
+    def solve(self, op, rhs, settings) -> FgmresResult:
+        """The stage system's solution, by one ``apply``."""
+        return FgmresResult(self.apply(rhs), 1, [float("nan")])
 
 
 def build_preconditioner(

@@ -347,14 +347,10 @@ class BlockFactorization:
     boundary-constrained blocks of a ``tensor_product_pair``, held as the
     ``pair`` and its ``diagonal`` D, and a SuperLU sparse LU, with a
     fill-reducing column ordering, for every other block, whose ``pair`` and
-    ``D`` are None; the contract is only the solve residual.  ``apply``
-    aliases ``solve`` so a factorization can stand in as an exact
-    preconditioner, and ``exact`` says that it is one.  ``dtype`` is complex
-    when alpha or dt is, and a solve returns it.  A solve takes b of shape
-    (n,) or (n, k) and raises ValueError on any other first dimension.
+    ``D`` are None; the contract is only the solve residual.  ``dtype`` is
+    complex when alpha or dt is, and a solve returns it.  A solve takes b of
+    shape (n,) or (n, k) and raises ValueError on any other first dimension.
     """
-
-    exact = True
 
     def __init__(self, lu, n: int, dtype, pair: TensorPair | None = None, D=None):
         self._lu = lu
@@ -375,8 +371,6 @@ class BlockFactorization:
         X[:, 1:-1, 1:-1] /= self.pair.mu_prod * self.D
         self.pair.sine(X)
         return x
-
-    apply = solve
 
 
 def factorize_block(

@@ -19,14 +19,13 @@ drives every system, and ``TimeStepper.step`` chooses the systems:
 * DIRK solves s one-stage systems in turn, stage i with A = [[a_ii]] and the
   base state u_n + dt * sum_{j<i} a_ij K_j.
 
-A linear problem takes exactly one Newton correction per system.  When the
-factors built for it are exact (a one-stage block, the eigen kind, or a
-triangular kind on a triangular tableau) that correction is one application
-of them, with no FGMRES.  When they sweep in the modes of a tensor pair from
-which the constrained operator op is built too, GMRES runs on op P in the
-pair's sine coordinates, where a product needs no transform
-(``StagePreconditioner.sine_solve``); every other system is solved by
-FGMRES through the factors.
+A linear problem takes exactly one Newton correction per system, which the
+factors built for it solve themselves (``solve(op, rhs, settings)`` in
+``precond``): by one application of exact factors (a one-stage block, the
+eigen kind, or a triangular kind on a triangular tableau), by GMRES in the
+sine coordinates of a tensor pair, or by FGMRES through them.  A nonlinear
+problem's corrections run FGMRES through factors that lag behind its
+Jacobians.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
 residual is M u' + K u - f.
@@ -50,6 +49,7 @@ from .bcs import (
 from .precond import (
     EIGEN_COND_MAX,
     PreconditionerKind,
+    StagePreconditioner,
     build_preconditioner,
     butcher_eigenbasis,
 )
@@ -60,7 +60,6 @@ from .sparsela import (
     NonConvergenceError,
     SparseMatrix,
     Splitting,
-    factorize_block,
     fgmres,
     spmv,
 )
@@ -151,7 +150,7 @@ class StepReport:
 
 @dataclass
 class _CachedFactors:
-    """A preconditioner or stage-block factorization held across solves.
+    """A stage preconditioner held across solves.
 
     ``its`` is the FGMRES iteration count of the first Newton solve through
     it; a later one that needs more marks it stale (see ``_correction``).
@@ -159,6 +158,14 @@ class _CachedFactors:
 
     factors: object
     its: Optional[int] = None
+
+
+def _sparse(what, A):
+    """``A`` unless it is not the ``SparseMatrix`` the solvers need."""
+    if not isinstance(A, SparseMatrix):
+        raise TypeError(f"{what} a {type(A).__name__}, not a SparseMatrix: "
+                        "wrap it with SparseMatrix.from_scipy")
+    return A
 
 
 @dataclass
@@ -190,7 +197,7 @@ class SemidiscreteProblem:
             self.u0 = np.asarray(self.u0, dtype=float)
         for name in ("mass", "stiffness"):
             A = getattr(self, name)
-            if A is not None and A.shape != (self.m, self.m):
+            if A is not None and _sparse(f"{name} is", A).shape != (self.m, self.m):
                 raise ValueError(f"{name} has shape {A.shape}, expected ({self.m}, {self.m})")
         bc = self.dirichlet
         if bc is not None and len(bc.dofs) and bc.dofs.max() >= self.m:
@@ -283,7 +290,8 @@ class StageSystem:
         """The Jacobian at stage values U; a linear problem's needs none."""
         p = self.problem
         Ks = (p.stiffness if p.is_linear
-              else [p.jacobian_u(ti, U[i]) for i, ti in enumerate(self.times)])
+              else [_sparse("jacobian_u returned", p.jacobian_u(ti, U[i]))
+                    for i, ti in enumerate(self.times)])
         return KroneckerStageOperator(self.C1, self.C2, p.mass, Ks, self.dt)
 
 
@@ -411,12 +419,10 @@ class TimeStepper:
 
     def _build(self, system, kind, Ks):
         """Factor the preconditioner of ``system`` from its Jacobian blocks."""
-        M, dofs = system.problem.mass, system.dofs
-        if system.s == 1:
-            # the exact block, which is what every kind gives on one stage
-            self._factorizations += 1
-            return factorize_block(M, Ks[0], system.C1[0, 0], system.dt * system.C2[0, 0], dofs)
-        pc = build_preconditioner(kind, self.tableau, M, Ks, system.dt, system.splitting, dofs)
+        M, dofs, dt, form = system.problem.mass, system.dofs, system.dt, system.splitting
+        # one stage takes its exact block, which is what every kind gives there
+        pc = (StagePreconditioner(system.A, system.A, form, M, Ks, dt, dofs) if system.s == 1
+              else build_preconditioner(kind, self.tableau, M, Ks, dt, form, dofs))
         self._factorizations += len(pc.block_factors)
         return pc
 
@@ -436,24 +442,17 @@ class TimeStepper:
         """Solve one Newton system ``op`` x = ``rhs`` through cached factors.
 
         The factors are built from the Jacobians ``Ks`` when missing.  A
-        linear problem's factors never go stale; when they are ``exact`` the
-        system is solved by one application of them, with no FGMRES and no
-        apply of ``op``.  When they sweep in the modes of a tensor pair, they
-        solve the stage system they were built for, which is ``op``, in sine
-        coordinates (``sine_solve``): GMRES, preconditioned on the right,
-        solves op P y = rhs there, with one transform of rhs and one of the
-        correction P y: since P is fixed, these are the iterates of FGMRES
-        through P, at one per-mode product per iteration in place of an apply
-        of P and one of ``op``.  That path is chosen here, from the cached
-        factors, and not from what fgmres is handed.
-        Every other system goes to FGMRES preconditioned by the factors.
-        ``op`` carries the current Jacobians, so the correction
-        is exact up to the FGMRES tolerance; only the preconditioner lags.
-        For a nonlinear problem, a solve through lagged factors that needs
-        more iterations than their first solve marks them stale by dropping
-        them, so the next Newton iteration rebuilds them.  If FGMRES fails
-        through lagged factors, they are rebuilt and the solve is retried
-        once; a failure through fresh factors drops them and raises.
+        linear problem's factors never go stale, and ``op`` is the stage
+        system they were built for, so they solve it themselves:
+        ``solve(op, rhs, settings)`` picks the path (one apply, GMRES in sine
+        coordinates, or FGMRES through them).
+        A nonlinear problem's ``op`` carries the current Jacobians, so the
+        correction is exact up to the FGMRES tolerance; only the
+        preconditioner lags.  A solve through lagged factors that needs more
+        iterations than their first solve marks them stale by dropping them,
+        so the next Newton iteration rebuilds them.  If FGMRES fails through
+        lagged factors, they are rebuilt and the solve is retried once; a
+        failure through fresh factors drops them and raises.
 
         Returns the correction, the preconditioned solves spent (Krylov
         iterations, failed attempt included, or 1 for a direct solve) and the
@@ -462,29 +461,23 @@ class TimeStepper:
         if kind is None:
             res = fgmres(op, rhs, None, self.krylov)
             return res.x, res.iterations, res.residuals[-1]
-        lag = not system.problem.is_linear
+        if system.problem.is_linear:
+            res = self._factors(system, kind, Ks)[1].factors.solve(op, rhs, self.krylov)
+            return res.x, res.iterations, res.residuals[-1]
         wasted = 0
         while True:
             key, entry = self._factors(system, kind, Ks)
-            if not lag and entry.factors.exact:
-                return entry.factors.apply(rhs), 1, float("nan")
-            # a linear problem's inexact factors are a StagePreconditioner
-            res = None if lag else entry.factors.sine_solve(rhs, self.krylov)
-            if res is not None:
-                return res.x, res.iterations, res.residuals[-1]
             try:
                 res = fgmres(op, rhs, entry.factors, self.krylov)
             except NonConvergenceError as exc:
-                if not lag:
-                    raise
                 del self._factor_cache[key]
                 if entry.its is None:
                     raise
                 wasted += len(exc.residuals) - 1
                 continue
-            if lag and entry.its is None:
+            if entry.its is None:
                 entry.its = res.iterations
-            elif lag and res.iterations > entry.its:
+            elif res.iterations > entry.its:
                 del self._factor_cache[key]
             return res.x, wasted + res.iterations, res.residuals[-1]
 

@@ -213,6 +213,14 @@ class TestConstrainSystem:
         with pytest.raises(ValueError, match="dofs must be 1-D"):
             DirichletBC(dofs=dofs, g=lambda t: np.zeros(np.size(dofs)))
 
+    @pytest.mark.parametrize("dofs, dtype", [([1.9], "float64"), ([True, False], "bool"),
+                                             ([True, False, True], "bool")],
+                             ids=["float", "mask", "mask-with-repeats"])
+    def test_non_integer_dofs_rejected(self, dofs, dtype):
+        # a cast would truncate 1.9 to 1 and read a boolean mask as indices 1, 0
+        with pytest.raises(ValueError, match=f"integer indices, got dtype {dtype}"):
+            DirichletBC(dofs=dofs, g=lambda t: np.zeros(len(dofs)))
+
     def test_duplicate_dof_rejected(self):
         # conflicting data on a repeated dof would silently keep the last value
         with pytest.raises(ValueError, match="duplicate"):

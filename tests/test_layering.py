@@ -51,3 +51,12 @@ def test_importing_the_package_loads_no_fft():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_stepper_leaves_the_choice_of_solve_path_to_the_factors():
+    # whether a stage system is solved by one apply, by GMRES in sine
+    # coordinates or by FGMRES is decided in precond (``solve``); the stepper
+    # reads none of the attributes that decision rests on
+    tree = ast.parse((PACKAGE / "stepper.py").read_text())
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not reads & {"sine_solve", "exact", "pair", "_pair"}

@@ -15,7 +15,7 @@ from implicitrk import problems, tableaux
 from implicitrk.precond import PreconditionerKind
 from implicitrk.problems import StructuredGrid
 from implicitrk.sparsela import TensorPair, fgmres
-from implicitrk.stepper import StageFormulation, TimeStepper
+from implicitrk.stepper import NewtonSettings, StageFormulation, TimeStepper, advance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,6 +54,28 @@ def test_allen_cahn_workload_takes_a_step(bench):
     # as close to the exact solution as the grid's own interpolant is
     best = problems.l2_error(grid, problems.interpolate(grid, mms.u, st.t), mms.u, st.t)
     assert problems.l2_error(grid, u, mms.u, st.t) < 2 * best
+
+
+@pytest.mark.parametrize("tab, form, counts", [
+    (tableaux.alexander_dirk(), StageFormulation.DIRK, (3, 9, 6)),
+    (tableaux.wsodirk433(), StageFormulation.DIRK, (4, 12, 8)),
+    (tableaux.radau_iia(1), StageFormulation.STAGE_DERIVATIVE_IA, (1, 3, 2)),
+], ids=["alexander", "wsodirk433", "radau-iia-1"])
+def test_one_stage_newton_factor_reuse(bench, tab, form, counts):
+    # (factorizations, Krylov iterations, Newton iterations) of every step.
+    # Each one-stage system factors its exact block, solves through it in
+    # one iteration, and drops it after the second, lagged solve takes two:
+    # the lag rule rebuilds it on every step (ROADMAP item 7)
+    _, workloads = bench
+    grid = StructuredGrid(2, 16)
+    mms = workloads.decaying_mms(0.1)
+    problem = workloads.allen_cahn_problem(grid, mms)
+    st = TimeStepper(problem, tab, 1.0 / 16, formulation=form,
+                     pc_kind=PreconditionerKind.RANA_LD, newton=NewtonSettings(rtol=1e-8),
+                     u0=problems.interpolate(grid, mms.u, 0.0))
+    _, reports = advance(st, problem, 0.5)
+    assert len(reports) == 8
+    assert {(r.factorizations, r.krylov_iters, r.newton_iters) for r in reports} == {counts}
 
 
 def test_workload_forcings_meet_the_lattice_contract(bench, flat_load):

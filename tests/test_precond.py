@@ -406,20 +406,25 @@ def test_blocks_of_different_pairs_sweep_on_the_lattice(monkeypatch):
     assert "csr" in calls
 
 
-def sine_solve_product(monkeypatch, pc, rhs):
-    """The result of ``pc.sine_solve(rhs)`` and the product its GMRES ran on."""
+def solve_product(monkeypatch, pc, op, rhs):
+    """The result of ``pc.solve(op, rhs)`` and the operator and
+    preconditioner its (F)GMRES ran on."""
     seen = []
     run = precond.fgmres
-    monkeypatch.setattr(precond, "fgmres", lambda A, *a: seen.append(A) or run(A, *a))
-    res = pc.sine_solve(rhs, KrylovSettings(rtol=1e-12))
-    return res, seen[0] if seen else None
+    monkeypatch.setattr(precond, "fgmres",
+                        lambda A, b, P, *a: seen.append((A, P)) or run(A, b, P, *a))
+    res = pc.solve(op, rhs, KrylovSettings(rtol=1e-12))
+    assert len(seen) == 1
+    return res, seen[0]
 
 
-def constrained_heat_system(tab, form, dt, N=6):
-    """The stage system of ``tab`` on the N x N heat pair: its mass,
-    stiffness, boundary dofs, constrained operator and a right-hand side
-    with nonzero boundary values."""
+def constrained_heat_system(tab, form, dt, N=6, first_dof=0):
+    """The stage system of ``tab`` on the N x N heat pair, constrained on its
+    boundary dofs from the ``first_dof``-th on: its mass, stiffness,
+    constrained dofs, constrained operator and a right-hand side with
+    nonzero boundary values."""
     M, K, dofs = assemble_heat(StructuredGrid(2, N))
+    dofs = dofs[first_dof:]
     op = KroneckerStageOperator(*form.coefficients(tab.A), M, K, dt)
     rng = np.random.default_rng(9)
     bc = DirichletBC(dofs, lambda t: 0.0)
@@ -431,7 +436,7 @@ def constrained_heat_system(tab, form, dt, N=6):
 @pytest.mark.parametrize("tab", [radau_iia(2), radau_iia(3), radau_iia(4)], ids=lambda t: t.name)
 @pytest.mark.parametrize("form", list(Splitting), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", TRIANGULAR_KINDS, ids=lambda k: k.value)
-def test_sine_solve_runs_gmres_on_the_transformed_operator_after_the_preconditioner(
+def test_solve_on_a_pair_runs_gmres_on_the_transformed_operator_after_the_preconditioner(
         monkeypatch, kind, form, tab):
     # with F the sine transform of every stage, GMRES runs on F op P F, which
     # needs no transform, and the correction solves op x = rhs, for op the
@@ -439,7 +444,8 @@ def test_sine_solve_runs_gmres_on_the_transformed_operator_after_the_preconditio
     dt = 0.05
     M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt)
     pc = build_preconditioner(kind, tab, M, K, dt, form, dofs)
-    res, product = sine_solve_product(monkeypatch, pc, rhs)
+    res, (product, inner) = solve_product(monkeypatch, pc, op, rhs)
+    assert inner is None
     pair = M._tensor[0]
     shape = (tab.s, pair.n1, pair.n1)
 
@@ -454,29 +460,30 @@ def test_sine_solve_runs_gmres_on_the_transformed_operator_after_the_preconditio
     assert np.linalg.norm(op.apply(res.x) - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
 
-def test_sine_solve_measures_the_lattice_right_hand_side(monkeypatch):
+def test_solve_on_a_pair_measures_the_lattice_right_hand_side(monkeypatch):
     # the relative target of GMRES is taken from ||rhs|| of the constrained
     # lattice system, boundary rows included: F keeps the norm
     tab, form, dt = radau_iia(4), Splitting.IA, 1.0 / 16
-    M, K, dofs, _, rhs = constrained_heat_system(tab, form, dt, N=16)
+    M, K, dofs, op, rhs = constrained_heat_system(tab, form, dt, N=16)
     pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M, K, dt, form, dofs)
-    res, _ = sine_solve_product(monkeypatch, pc, rhs)
+    res, _ = solve_product(monkeypatch, pc, op, rhs)
     normb = np.linalg.norm(rhs)
     assert abs(res.residuals[0] - normb) <= 1e-14 * normb
     assert np.linalg.norm(rhs.reshape(tab.s, -1)[:, dofs]) > 0.1 * normb
 
 
 @pytest.mark.parametrize("case", ["superlu preconditioner", "partial dirichlet"])
-def test_sine_solve_needs_the_preconditioners_pair_and_boundary(monkeypatch, case):
+def test_solve_off_a_pair_runs_fgmres_on_op_through_the_preconditioner(monkeypatch, case):
     # blocks on a SuperLU copy of K, or on part of the boundary, share no pair
-    M, K, dofs = assemble_heat(StructuredGrid(2, 6))
     tab, form, dt = radau_iia(3), Splitting.IA, 0.05
+    M, K, dofs, op, rhs = constrained_heat_system(
+        tab, form, dt, first_dof=1 if case == "partial dirichlet" else 0)
     copy = SparseMatrix.from_scipy(K.to_scipy())
     pc = build_preconditioner(PreconditionerKind.RANA_LD, tab, M,
-                              copy if case == "superlu preconditioner" else K, dt, form,
-                              dofs[1:] if case == "partial dirichlet" else dofs)
-    rhs = np.random.default_rng(11).standard_normal(tab.s * M.nrows)
-    assert sine_solve_product(monkeypatch, pc, rhs) == (None, None)
+                              copy if case == "superlu preconditioner" else K, dt, form, dofs)
+    res, (product, inner) = solve_product(monkeypatch, pc, op, rhs)
+    assert product is op and inner is pc
+    assert np.linalg.norm(op.apply(res.x) - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
 
 class TestEigen:
@@ -634,15 +641,15 @@ def test_tensor_path_matches_its_superlu_copy(kind, form, s, N, shape, dt, seed)
     r = rng.standard_normal(s * M.nrows)
     ref = pcc.apply(r)
     assert np.linalg.norm(pc.apply(r) - ref) <= 1e-13 * max(conds) * np.linalg.norm(ref)
-    if kind is not PreconditionerKind.EIGEN:
-        # GMRES in sine coordinates on the pair, FGMRES through the copy's
-        # factors on the copy's constrained stage operator
-        op = KroneckerStageOperator(*form.coefficients(tab.A), Mc, Kc, dt)
-        cop, rhs = constrain_stage_system(op, rng.standard_normal(op.n), problem.dirichlet,
-                                          rng.standard_normal((s, len(dofs))))
-        got, want = pc.sine_solve(rhs, krylov), fgmres(cop, rhs, pcc, krylov)
-        assert np.linalg.norm(got.x - want.x) <= tol * np.linalg.norm(want.x)
-        assert np.linalg.norm(cop.apply(got.x) - rhs) <= 2 * krylov.rtol * np.linalg.norm(rhs)
+    # the pair's solve (one apply when exact, else GMRES in sine coordinates)
+    # against FGMRES through the copy's factors on the copy's constrained
+    # stage operator
+    op = KroneckerStageOperator(*form.coefficients(tab.A), Mc, Kc, dt)
+    cop, rhs = constrain_stage_system(op, rng.standard_normal(op.n), problem.dirichlet,
+                                      rng.standard_normal((s, len(dofs))))
+    got, want = pc.solve(cop, rhs, krylov), fgmres(cop, rhs, pcc, krylov)
+    assert np.linalg.norm(got.x - want.x) <= tol * np.linalg.norm(want.x)
+    assert np.linalg.norm(cop.apply(got.x) - rhs) <= 2 * krylov.rtol * np.linalg.norm(rhs)
     # one linear step on each; an AI step without an invertible A takes g'
     formulation = {Splitting.AI: StageFormulation.STAGE_DERIVATIVE_AI,
                    Splitting.IA: StageFormulation.STAGE_DERIVATIVE_IA}[form]
@@ -654,12 +661,55 @@ def test_tensor_path_matches_its_superlu_copy(kind, form, s, N, shape, dt, seed)
     assert np.linalg.norm(u - uc) <= tol * np.linalg.norm(uc)
 
 
+@pytest.mark.parametrize("formulation", [StageFormulation.DIRK,
+                                         StageFormulation.STAGE_DERIVATIVE_AI,
+                                         StageFormulation.STAGE_DERIVATIVE_IA],
+                         ids=lambda f: f.value)
+@settings(max_examples=8, deadline=None)
+@given(
+    s=st.integers(min_value=1, max_value=4),
+    N=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(ALL_KINDS),
+    dt=st.floats(min_value=0.01, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_stage_steps_match_on_the_pair_and_its_superlu_copy(formulation, s, N, kind, dt,
+                                                                 seed):
+    # DIRK steps a random lower-triangular tableau one stage at a time, and a
+    # coupled step of a one-stage tableau solves one system, whatever the
+    # kind: every system's factors are its one exact block, a fast
+    # diagonalization on the pair and SuperLU on the copy
+    rng = np.random.default_rng(seed)
+    tab = random_stages(s if formulation is StageFormulation.DIRK else 1, "lower", rng)
+    form = formulation.splitting
+    problem = mms_heat_problem(StructuredGrid(2, N))
+    M, K, dofs = problem.mass, problem.stiffness, problem.dirichlet.dofs
+    conds = [np.linalg.cond(dense_pc_matrix(tab.A[i:i + 1, i:i + 1], form, M, [K], dt, dofs))
+             for i in range(tab.s)]
+    assume(max(conds) < 1e5)
+    copy = SemidiscreteProblem(m=problem.m, mass=SparseMatrix.from_scipy(M.to_scipy()),
+                               stiffness=SparseMatrix.from_scipy(K.to_scipy()),
+                               load=problem.load, dirichlet=problem.dirichlet, u0=problem.u0)
+    runs = []
+    for p, pair in ((problem, True), (copy, False)):
+        stepper = TimeStepper(p, tab, dt, formulation, pc_kind=kind)
+        u, report = stepper.step(p)
+        assert (report.newton_iters, report.krylov_iters) == (tab.s, tab.s)
+        assert np.isnan(report.final_residual)
+        for entry in stepper._factor_cache.values():
+            (block,) = entry.factors.block_factors
+            assert (block.pair is not None) is pair
+        runs.append(u)
+    u, uc = runs
+    assert np.linalg.norm(u - uc) <= 1e-13 * max(conds) * np.linalg.norm(uc)
+
+
 def test_fgmres_restarts_after_a_breakdown_above_its_target():
     # A draw of test_tensor_path_matches_its_superlu_copy (Jacobi, IA, s = 4,
     # N = 7, lower, seed 1812): on the SuperLU copy, Arnoldi breaks down at
     # iteration 4 with the residual estimate at 1.85e-11 against a target of
     # 1.46e-11.  The space is not singular, only short of rounding: a restart
-    # from the cycle's solution meets the target, as sine_solve does
+    # from the cycle's solution meets the target, as the solve on the pair does
     rng = np.random.default_rng(1812)
     kind, form, s, dt = PreconditionerKind.BLOCK_DIAGONAL, Splitting.IA, 4, 0.08244378443667336
     tab = random_stages(s, "lower", rng)
@@ -674,7 +724,7 @@ def test_fgmres_restarts_after_a_breakdown_above_its_target():
     cop, rhs = constrain_stage_system(op, rng.standard_normal(op.n), problem.dirichlet,
                                       rng.standard_normal((s, len(dofs))))
     target = krylov.rtol * np.linalg.norm(rhs)
-    assert pc.sine_solve(rhs, krylov).residuals[-1] <= target
+    assert pc.solve(cop, rhs, krylov).residuals[-1] <= target
     result = fgmres(cop, rhs, pcc, krylov)
     assert result.iterations > 4
     assert np.linalg.norm(cop.apply(result.x) - rhs) <= target

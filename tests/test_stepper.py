@@ -814,7 +814,7 @@ EXACT_CASES = [
 
 @pytest.mark.parametrize("form, tab, pc_kind", EXACT_CASES)
 def test_exact_factors_solve_linear_systems_directly(monkeypatch, form, tab, pc_kind):
-    from implicitrk import stepper as stepper_mod
+    from implicitrk import precond as precond_mod, stepper as stepper_mod
     from implicitrk.sparsela import KroneckerStageOperator
 
     p = incompatible_heat_1d(12)
@@ -824,6 +824,7 @@ def test_exact_factors_solve_linear_systems_directly(monkeypatch, form, tab, pc_
         raise AssertionError("a direct solve needs no FGMRES and no operator apply")
 
     monkeypatch.setattr(stepper_mod, "fgmres", forbidden)
+    monkeypatch.setattr(precond_mod, "fgmres", forbidden)
     monkeypatch.setattr(KroneckerStageOperator, "apply", forbidden)
     st = TimeStepper(p, tab, 0.05, formulation=form, pc_kind=pc_kind)
     u, reports = advance(st, p, 0.2)
@@ -1062,6 +1063,34 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             SemidiscreteProblem(m=5, load=lambda t: np.zeros(5), u0=np.zeros(5),
                                 **{k: SparseMatrix.from_dense(v) for k, v in mats.items()})
+
+    @pytest.mark.parametrize("convert", [sp.csr_matrix, np.asarray], ids=["csr_matrix", "ndarray"])
+    @pytest.mark.parametrize("name", ["mass", "stiffness"])
+    def test_matrices_of_another_type_are_refused(self, name, convert):
+        # caught at construction, not as an AttributeError at the first step
+        mats = {"mass": SparseMatrix.from_dense(np.eye(5)),
+                "stiffness": SparseMatrix.from_dense(np.eye(5)), name: convert(np.eye(5))}
+        match = (rf"^{name} is a {type(mats[name]).__name__}, not a SparseMatrix: "
+                 r"wrap it with SparseMatrix\.from_scipy$")
+        with pytest.raises(TypeError, match=match):
+            SemidiscreteProblem(m=5, load=lambda t: np.zeros(5), u0=np.zeros(5), **mats)
+
+    @pytest.mark.parametrize("form, tab, pc_kind", [
+        (AI, radau_iia(2), PreconditionerKind.RANA_LD), (AI, radau_iia(2), None),
+        (DIRK, alexander_dirk(), None),
+    ], ids=["rana-ld", "unpreconditioned", "dirk"])
+    def test_a_jacobian_of_another_type_is_refused(self, form, tab, pc_kind):
+        # caught where the Jacobian is taken, not inside the preconditioner
+        # build or the operator product
+        p = incompatible_heat_1d(8)
+        bad = SemidiscreteProblem(m=p.m, mass=p.mass, residual=p.residual,
+                                  jacobian_u=lambda t, u: p.stiffness.to_scipy(),
+                                  dirichlet=p.dirichlet, u0=p.u0)
+        st = TimeStepper(bad, tab, 0.1, formulation=form, pc_kind=pc_kind)
+        match = (r"^jacobian_u returned a csr_matrix, not a SparseMatrix: "
+                 r"wrap it with SparseMatrix\.from_scipy$")
+        with pytest.raises(TypeError, match=match):
+            st.step(bad)
 
     def test_repeated_runs_reproduce_bit_for_bit(self):
         # Rana-LD on RadauIIA(2) is inexact, so every step goes through FGMRES
