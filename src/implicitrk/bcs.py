@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparsela import KroneckerStageOperator, Splitting
+from .sparsela import KroneckerStageOperator, Splitting, dirichlet_dofs
 from .tableaux import ButcherTableau
 
 
@@ -31,6 +31,7 @@ class BcMethod(Enum):
 class DirichletBC:
     """Constrained dof set with boundary data.
 
+    ``dofs`` is checked by ``dirichlet_dofs`` and may not repeat a dof.
     ``g(t)`` returns the data at the constrained dofs (aligned with ``dofs``);
     ``g_dot`` is its time derivative and is required only by the ODE method —
     it is never finite-differenced internally.
@@ -41,14 +42,7 @@ class DirichletBC:
     g_dot: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        dofs = np.asarray(self.dofs)
-        if dofs.size and dofs.dtype.kind not in "iu":
-            raise ValueError(f"DirichletBC dofs must be integer indices, got dtype {dofs.dtype}")
-        self.dofs = dofs.astype(np.int64, copy=False)
-        if self.dofs.ndim != 1:
-            raise ValueError(f"DirichletBC dofs must be 1-D, got shape {self.dofs.shape}")
-        if len(self.dofs) and self.dofs.min() < 0:
-            raise ValueError("negative dof index in DirichletBC")
+        self.dofs = dirichlet_dofs(self.dofs)
         if len(np.unique(self.dofs)) != len(self.dofs):
             raise ValueError("duplicate dof index in DirichletBC")
 
@@ -106,9 +100,7 @@ class ConstrainedStageOperator:
 
     def __init__(self, op: KroneckerStageOperator, dofs):
         self.op = op
-        self.dofs = np.asarray(dofs, dtype=np.int64)
-        if len(self.dofs) and self.dofs.max() >= op.m:
-            raise ValueError("constrained dof index out of range")
+        self.dofs = dirichlet_dofs(dofs, op.m)
         self.n = op.n
         self._idx = (np.arange(op.s)[:, None] * op.m + self.dofs[None, :]).ravel()
 

@@ -30,9 +30,11 @@ from .sparsela import (
     FgmresResult,
     SparseMatrix,
     Splitting,
+    dirichlet_dofs,
     factorize_block,
     fgmres,
     stage_blocks,
+    stage_product,
 )
 from .tableaux import ButcherTableau, SingularFactorizationError, ldu_factor
 
@@ -111,10 +113,8 @@ class StagePreconditioner:
         ]
         pairs = {f.pair for f in self.block_factors}
         self._pair = pair = pairs.pop() if len(pairs) == 1 else None
-        # the stage operator's (C1, C2) for solve, None for an identity,
-        # whose product it skips
-        self._op_coefficients = [None if np.array_equal(C, np.eye(self.s)) else C
-                                 for C in form.coefficients(A)]
+        # the stage operator's (C1, C2), for solve
+        self._op_coefficients = form.coefficients(A)
         self._dt = float(dt)
         # the sweep visits only the surrogate's triangle: C1 = Atilde^-1
         # carries rounding outside it
@@ -204,9 +204,8 @@ class StagePreconditioner:
             Y = y.reshape(shape)[:, 1:-1, 1:-1]
             # the sweep runs faster on a contiguous copy than on the view
             Z = self._sweep_modes(Y.copy())
-            flat = Z.reshape(self.s, -1)
-            out = dt_lam * (Z if C2 is None else (C2 @ flat).reshape(Z.shape))
-            out += Z if C1 is None else (C1 @ flat).reshape(Z.shape)
+            out = dt_lam * stage_product(C2, Z)
+            out += stage_product(C1, Z)
             Y[...] = out
             return y
 
@@ -279,11 +278,12 @@ def build_preconditioner(
 
     ``K`` may be a single stiffness matrix or a per-stage list of Jacobian
     blocks (the nonlinear case); block row i then uses K_i in place of K.
-    ``dirichlet`` lists constrained spatial dofs; the blocks receive the same
-    identity-row/column treatment as the constrained operator.
+    ``dirichlet`` lists constrained spatial dofs (checked by
+    ``dirichlet_dofs``); the blocks receive the same identity-row/column
+    treatment as the constrained operator.
     """
     Ks = stage_blocks(K, tab.s)
-    dofs = np.asarray(dirichlet if dirichlet is not None else [], dtype=np.int64)
+    dofs = dirichlet_dofs(dirichlet, M.nrows)
     try:
         # a singular surrogate is refused in either form
         A_tilde = _surrogate(kind, tab)

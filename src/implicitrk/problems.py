@@ -278,9 +278,7 @@ def h1_error(
 
 def fe_l2_norm(grid: StructuredGrid, u_h: np.ndarray) -> float:
     """L2 norm of a finite element function (quadrature of u_h^2)."""
-    if grid.dim == 1:
-        return l2_error(grid, u_h, lambda t, x: 0.0, 0.0)
-    return l2_error(grid, u_h, lambda t, x, y: 0.0, 0.0)
+    return l2_error(grid, u_h, lambda t, *x: 0.0, 0.0)
 
 
 def interpolate(grid: StructuredGrid, fn: Callable, t: float) -> np.ndarray:

@@ -49,6 +49,33 @@ class Splitting(Enum):
         return (eye, A) if self is Splitting.AI else (np.linalg.inv(A), eye)
 
 
+def stage_product(C, V) -> np.ndarray:
+    """(C (x) I) V for V of shape (s, ...): V itself when the s-by-s C is the
+    identity, as one factor of ``Splitting.coefficients`` is."""
+    if np.array_equal(C, np.eye(len(C))):
+        return V
+    return (C @ V.reshape(len(C), -1)).reshape(V.shape)
+
+
+def dirichlet_dofs(dofs, m=None) -> np.ndarray:
+    """The Dirichlet dof set ``dofs`` (None: empty) as a 1-D int64 array.
+    ValueError refuses, naming it, a non-integer dtype (a cast would read a
+    mask or float indices as other dofs), and refuses another shape and an
+    index outside [0, m), or below 0 without ``m``.  A dof may repeat."""
+    if dofs is None:
+        return np.empty(0, dtype=np.int64)
+    dofs = np.asarray(dofs)
+    if dofs.size and dofs.dtype.kind not in "iu":
+        raise ValueError(f"Dirichlet dofs must be integer indices, got dtype {dofs.dtype}")
+    if dofs.ndim != 1:
+        raise ValueError(f"Dirichlet dofs must be 1-D, got shape {dofs.shape}")
+    dofs = dofs.astype(np.int64, copy=False)
+    if len(dofs) and (dofs.min() < 0 or m is not None and dofs.max() >= m):
+        raise ValueError(f"Dirichlet dofs out of range [0, {'m' if m is None else m}): "
+                         f"min {dofs.min()}, max {dofs.max()}")
+    return dofs
+
+
 class SparseMatrix:
     """Compressed-sparse-row real matrix: one scipy CSR matrix in canonical
     format, with read-only arrays, so that instances are safe to share across
@@ -156,8 +183,10 @@ def dirichlet_constrain(A: SparseMatrix, dofs) -> SparseMatrix:
 
     Rows and columns listed in ``dofs`` are zeroed and the diagonal is set to
     one, the symmetric treatment that keeps preconditioner blocks consistent
-    with a column-eliminated operator.
+    with a column-eliminated operator.  ``dofs`` is checked by
+    ``dirichlet_dofs``.
     """
+    dofs = dirichlet_dofs(dofs, A.nrows)
     if len(dofs) == 0:
         return A
     C = _constrain_csr(A._csr, dofs)
@@ -171,9 +200,7 @@ def _constrain_csr(C: sp.csr_matrix, dofs) -> sp.csr_matrix:
     leaves every constrained row empty, and one diagonal entry is inserted
     into each of those rows.
     """
-    dofs = np.unique(np.asarray(dofs, dtype=np.int64))
-    if dofs[0] < 0 or dofs[-1] >= C.shape[0]:
-        raise ValueError("constrained dof index out of range")
+    dofs = np.unique(dofs)
     free = np.ones(C.shape[0], dtype=bool)
     free[dofs] = False
     keep = np.repeat(free, np.diff(C.indptr)) & free[C.indices]
@@ -329,17 +356,15 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
     return M, K
 
 
-def tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dirichlet):
-    """The pair whose block alpha*M + dt*K, constrained on ``dirichlet``, the
-    fast diagonalization solves exactly, or None."""
+def tensor_pair_of(M: SparseMatrix, K: SparseMatrix, dofs):
+    """The pair whose block alpha*M + dt*K, constrained on the checked dof
+    set ``dofs``, the fast diagonalization solves exactly, or None."""
     if M._tensor is None or K._tensor is None:
         return None
     (pair, role_m), (pair_k, role_k) = M._tensor, K._tensor
     if pair is not pair_k or (role_m, role_k) != ("mass", "stiffness"):
         return None
-    if dirichlet is None or not np.array_equal(np.unique(dirichlet), pair.boundary):
-        return None
-    return pair
+    return pair if np.array_equal(np.unique(dofs), pair.boundary) else None
 
 
 class BlockFactorization:
@@ -384,6 +409,7 @@ def factorize_block(
 
     ``alpha`` and ``dt`` may be complex, as for the eigenvalue blocks of a
     diagonalized Butcher matrix; the factorization is then complex.
+    ``dirichlet`` is checked by ``dirichlet_dofs``.
 
     When M and K are the mass and stiffness of one ``tensor_product_pair``
     and ``dirichlet`` is exactly its lattice boundary, the block is solved by
@@ -396,13 +422,14 @@ def factorize_block(
     """
     if M.shape != K.shape or M.nrows != M.ncols:
         raise ValueError("factorize_block needs square M, K of equal shape")
+    dofs = dirichlet_dofs(dirichlet, M.nrows)
     dtype = np.result_type(alpha, dt, float)
-    pair = tensor_pair_of(M, K, dirichlet)
+    pair = tensor_pair_of(M, K, dofs)
     if pair is not None:
         return BlockFactorization(None, M.nrows, dtype, pair, pair.diagonal(alpha, dt))
     C = alpha * M._csr + dt * K._csr
-    if dirichlet is not None and len(dirichlet):
-        C = _constrain_csr(C, dirichlet)
+    if len(dofs):
+        C = _constrain_csr(C, dofs)
     try:
         lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -446,16 +473,11 @@ class KroneckerStageOperator:
         self.s = s
         self.m = m
         self.n = s * m
-        # C1 under AI and C2 under IA is the identity, whose product is V
-        eye = np.eye(s)
-        self._C1_eye = np.array_equal(self.C1, eye)
-        self._C2_eye = np.array_equal(self.C2, eye)
 
     def _product(self, M, Ks, V) -> np.ndarray:
         """(C1 (x) M + dt * C2 (x) K) V for V of shape (s, n), with M and the
         per-stage Ks given as n-column matrices; shape (s, m)."""
-        U1 = V if self._C1_eye else self.C1 @ V
-        U2 = V if self._C2_eye else self.C2 @ V
+        U1, U2 = stage_product(self.C1, V), stage_product(self.C2, V)
         out = np.empty((self.s, M.shape[0]))
         for i, K in enumerate(Ks):
             out[i] = M @ U1[i]
@@ -526,14 +548,16 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
 
     The Krylov space is built on op o pc, and the preconditioned directions
     are kept, so that ``pc`` may change from one iteration to the next
-    (Saad, SISC 14 (1993)); the recurrence residual equals the true residual
-    of the original system.  ``op`` and ``pc`` are objects with an ``apply``
-    method, callables or dense arrays.  The iteration count reported is the
-    number of preconditioned operator applications.  Breakdown of the
-    Arnoldi recurrence (Hessenberg subdiagonal below 1e-14*||b||) ends the
-    cycle: the solve has converged when the residual estimate meets the
-    target, and otherwise it restarts from the cycle's solution.  When that
-    restart's true residual is no smaller than the cycle's first, the
+    (Saad, SISC 14 (1993)).  ``op`` and ``pc`` are objects with an
+    ``apply`` method, callables or dense arrays.  The iteration count
+    reported is the number of preconditioned operator applications.  A cycle
+    ends when the residual estimate meets the target, at breakdown of the
+    Arnoldi recurrence (Hessenberg subdiagonal below 1e-14*||b||) or after
+    ``restart`` iterations.  The solve has converged when its true residual
+    b - op(x) meets the target too, which rounding can keep it from on an
+    ill-conditioned operator; otherwise it restarts from the cycle's
+    solution, up to ``maxit`` iterations.  When the restart after a
+    breakdown has a true residual no smaller than the cycle's first, the
     operator is numerically singular on the Krylov space and
     NonConvergenceError is raised.  A rotated Hessenberg column that is
     exactly zero raises it too, as does a non-finite residual estimate.
@@ -614,22 +638,23 @@ def fgmres(op, b, pc=None, settings: KrylovSettings | None = None) -> FgmresResu
             y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
         for yi, zi in zip(y, Z):
             x += yi * zi
-        if residuals[-1] <= target:
-            return FgmresResult(x, iterations, residuals)
         r = b - A(x)
-        if lucky and not np.linalg.norm(r) < beta:
+        true_res = float(np.linalg.norm(r))
+        if residuals[-1] <= target and true_res <= target:
+            return FgmresResult(x, iterations, residuals)
+        if lucky and not true_res < beta:
             # the space is invariant, yet its least-squares solution gains
             # nothing: the pivot d is tiny and x is garbage
             raise NonConvergenceError(
                 f"fgmres: breakdown at iteration {iterations} above the target: "
                 f"the operator is numerically singular on the Krylov space "
-                f"(residual {np.linalg.norm(r):.3e}, target {target:.3e})",
+                f"(residual {true_res:.3e}, target {target:.3e})",
                 residuals,
             )
         if iterations >= st.maxit:
             raise NonConvergenceError(
                 f"fgmres: no convergence in {st.maxit} iterations "
-                f"(residual {residuals[-1]:.3e}, target {target:.3e})",
+                f"(residual {true_res:.3e}, target {target:.3e})",
                 residuals,
             )
 

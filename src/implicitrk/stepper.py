@@ -60,8 +60,10 @@ from .sparsela import (
     NonConvergenceError,
     SparseMatrix,
     Splitting,
+    dirichlet_dofs,
     fgmres,
     spmv,
+    stage_product,
 )
 from .tableaux import ButcherTableau
 
@@ -199,11 +201,8 @@ class SemidiscreteProblem:
             A = getattr(self, name)
             if A is not None and _sparse(f"{name} is", A).shape != (self.m, self.m):
                 raise ValueError(f"{name} has shape {A.shape}, expected ({self.m}, {self.m})")
-        bc = self.dirichlet
-        if bc is not None and len(bc.dofs) and bc.dofs.max() >= self.m:
-            raise ValueError(
-                f"Dirichlet dof {bc.dofs.max()} out of range for a problem of size {self.m}"
-            )
+        if self.dirichlet is not None:
+            dirichlet_dofs(self.dirichlet.dofs, self.m)
         self._linear = self.residual is None
         if self._linear:
             if self.stiffness is None or self.load is None:
@@ -233,11 +232,12 @@ class StageSystem:
     DIRK stage, in the unknown X of shape (s, m).
 
     ``splitting`` says what X holds: the stage derivatives K under AI, the
-    Butcher variables W = (A (x) I) K under IA.  The stage values are
-    U = u + dt W, where ``u`` is the base state; ``dofs`` are the problem's
-    Dirichlet dofs.  The Jacobian is C1 (x) M + dt * C2 (x) J with
-    (C1, C2) = ``splitting.coefficients(A)``.  The start point is X = 0: every
-    stage value is u and every derivative zero.
+    Butcher variables W = (A (x) I) K under IA.  With
+    (C1, C2) = ``splitting.coefficients(A)`` the stage values are
+    U = u + dt C2 X and the stage derivatives K = C1 X, where ``u`` is the
+    base state, and the Jacobian is C1 (x) M + dt * C2 (x) J; ``dofs`` are
+    the problem's Dirichlet dofs.  The start point is X = 0: every stage
+    value is u and every derivative zero.
     """
 
     def __init__(self, problem, A, c, t, dt, u, splitting=Splitting.AI):
@@ -249,7 +249,7 @@ class StageSystem:
         self.splitting = splitting
         self.s = self.A.shape[0]
         bc = problem.dirichlet
-        self.dofs = bc.dofs if bc is not None else np.empty(0, dtype=np.int64)
+        self.dofs = dirichlet_dofs(None if bc is None else bc.dofs)
         try:
             self.C1, self.C2 = splitting.coefficients(self.A)
         except np.linalg.LinAlgError as exc:
@@ -259,16 +259,11 @@ class StageSystem:
         return np.zeros((self.s, len(self.u)))
 
     def derivatives(self, X) -> np.ndarray:
-        return X if self.splitting is Splitting.AI else self.C1 @ X
+        return stage_product(self.C1, X)
 
     def states(self, X):
         """The stage values U and stage derivatives K at X."""
-        Kv = self.derivatives(X)
-        if self.splitting is Splitting.AI:
-            U = self.u[None, :] + self.dt * (self.A @ X)
-        else:
-            U = self.u[None, :] + self.dt * X
-        return U, Kv
+        return self.u[None, :] + self.dt * stage_product(self.C2, X), self.derivatives(X)
 
     def residual(self, states=None) -> np.ndarray:
         """The stacked stage residual, shape (s, m), at ``states`` = (U, K) or

@@ -124,21 +124,26 @@ class AdditiveSplit:
 # constructors
 
 
+def _real_roots(p, stalled):
+    """The roots of the polynomial p, all real, in increasing order: the
+    eigenvalues of its companion matrix, polished by Newton until |p| is
+    below ROOT_TOL at every root, or ArithmeticError(``stalled``) if 50
+    steps do not get there."""
+    dp = p.deriv()
+    x = np.sort(p.roots().real)
+    for _ in range(50):
+        r = p(x)
+        if np.max(np.abs(r)) < ROOT_TOL:
+            return x
+        x = x - r / dp(x)
+    raise ArithmeticError(stalled)
+
+
 def _radau_nodes(s):
-    # Right Radau points: roots of the (s-1)-th derivative of x^(s-1) (x-1)^s,
-    # computed from the companion matrix and polished with Newton.
+    # Right Radau points: roots of the (s-1)-th derivative of x^(s-1) (x-1)^s.
     Poly = np.polynomial.Polynomial
     p = (Poly([0.0, 1.0]) ** (s - 1) * Poly([-1.0, 1.0]) ** s).deriv(s - 1)
-    p = p / np.max(np.abs(p.coef))
-    dp = p.deriv()
-    c = np.sort(p.roots().real)
-    for _ in range(50):
-        r = p(c)
-        if np.max(np.abs(r)) < ROOT_TOL:
-            break
-        c = c - r / dp(c)
-    if np.max(np.abs(p(c))) >= ROOT_TOL:
-        raise ArithmeticError(f"Radau node refinement stalled for s={s}")
+    c = _real_roots(p / np.max(np.abs(p.coef)), f"Radau node refinement stalled for s={s}")
     # x = 1 is a root of the node polynomial for every s; snap it exactly so
     # the final abscissa is 1 and the last row of A reproduces b bit-for-bit.
     c[-1] = 1.0
@@ -214,32 +219,11 @@ def alexander_dirk() -> ButcherTableau:
     """Alexander's three-stage, third-order, L-stable, stiffly accurate DIRK.
 
     The diagonal coefficient is the root of x^3 - 3x^2 + (3/2)x - 1/6 in
-    (1/6, 1/2), refined to residual below ROOT_TOL.
+    (1/6, 1/2), the middle one of its three real roots, refined to residual
+    below ROOT_TOL.
     """
-
-    def p(x):
-        return x**3 - 3 * x**2 + 1.5 * x - 1 / 6
-
-    def dp(x):
-        return 3 * x**2 - 6 * x + 1.5
-
-    lo, hi = 1 / 6, 0.5
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        if p(lo) * p(x) <= 0:
-            hi = x
-        else:
-            lo = x
-        x = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-    for _ in range(50):
-        if abs(p(x)) < ROOT_TOL:
-            break
-        x = x - p(x) / dp(x)
-    if abs(p(x)) >= ROOT_TOL:
-        raise ArithmeticError("Alexander diagonal root refinement stalled")
-
+    p = np.polynomial.Polynomial([-1 / 6, 1.5, -3.0, 1.0])
+    x = float(_real_roots(p, "Alexander diagonal root refinement stalled")[1])
     y = -1.5 * x * x + 4 * x - 0.25
     # z is forced by consistency (weights sum to one); it agrees with the
     # quadratic expression (3/2)x^2 - 5x + 5/4 to machine precision.
@@ -407,15 +391,9 @@ def from_spec(spec: str) -> ButcherTableau:
     if name not in _FAMILIES:
         raise UnsupportedStageCountError(f"unknown tableau family {name!r}")
     ctor, takes_s = _FAMILIES[name]
-    if takes_s:
-        if not stages:
-            raise UnsupportedStageCountError(f"family {name!r} needs a stage count")
-        return ctor(int(stages))
-    if stages:
-        tab = ctor()
-        if int(stages) != tab.s:
-            raise UnsupportedStageCountError(
-                f"family {name!r} has exactly {tab.s} stages"
-            )
-        return tab
-    return ctor()
+    if takes_s and not stages:
+        raise UnsupportedStageCountError(f"family {name!r} needs a stage count")
+    tab = ctor(int(stages)) if takes_s else ctor()
+    if stages and int(stages) != tab.s:
+        raise UnsupportedStageCountError(f"family {name!r} has exactly {tab.s} stages")
+    return tab

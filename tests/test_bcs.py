@@ -10,8 +10,17 @@ from implicitrk.bcs import (
     constrain_stage_system,
     stage_bc_values,
 )
+from implicitrk.precond import PreconditionerKind, build_preconditioner
 from implicitrk.problems import StructuredGrid, assemble_heat
-from implicitrk.sparsela import KroneckerStageOperator, KrylovSettings, Splitting, fgmres
+from implicitrk.sparsela import (
+    KroneckerStageOperator,
+    KrylovSettings,
+    SparseMatrix,
+    Splitting,
+    dirichlet_constrain,
+    factorize_block,
+    fgmres,
+)
 from implicitrk.tableaux import ButcherTableau, lobatto_iiic, radau_iia
 
 
@@ -225,3 +234,25 @@ class TestConstrainSystem:
         # conflicting data on a repeated dof would silently keep the last value
         with pytest.raises(ValueError, match="duplicate"):
             DirichletBC(dofs=np.array([0, 0, 4]), g=lambda t: np.array([1.0, 2.0, 0.0]))
+
+
+I3 = SparseMatrix.identity(3)
+# every entry point that takes a Dirichlet dof set, on a problem of size 3
+DOF_ENTRY_POINTS = {
+    "DirichletBC": lambda dofs: DirichletBC(dofs=dofs, g=lambda t: np.zeros(len(dofs))),
+    "ConstrainedStageOperator": lambda dofs: ConstrainedStageOperator(
+        KroneckerStageOperator(np.eye(2), np.eye(2), I3, I3, 0.1), dofs),
+    "dirichlet_constrain": lambda dofs: dirichlet_constrain(I3, dofs),
+    "factorize_block": lambda dofs: factorize_block(I3, I3, 1.0, 0.1, dofs),
+    "build_preconditioner": lambda dofs: build_preconditioner(
+        PreconditionerKind.BLOCK_DIAGONAL, radau_iia(2), I3, I3, 0.1, Splitting.IA, dofs),
+}
+
+
+@pytest.mark.parametrize("dofs, dtype", [([True, False, False], "bool"), ([1.7], "float64")],
+                         ids=["mask", "float"])
+@pytest.mark.parametrize("entry", list(DOF_ENTRY_POINTS))
+def test_every_entry_point_refuses_non_integer_dofs(entry, dofs, dtype):
+    # a cast would constrain dofs 0 and 1 for the mask and dof 1 for 1.7
+    with pytest.raises(ValueError, match=f"integer indices, got dtype {dtype}"):
+        DOF_ENTRY_POINTS[entry](dofs)

@@ -60,3 +60,18 @@ def test_the_stepper_leaves_the_choice_of_solve_path_to_the_factors():
     tree = ast.parse((PACKAGE / "stepper.py").read_text())
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not reads & {"sine_solve", "exact", "pair", "_pair"}
+
+
+def test_the_identity_stage_coefficient_is_skipped_in_one_place():
+    # ``sparsela.stage_product`` skips the identity factor of
+    # ``Splitting.coefficients``: the preconditioner builds no identity to
+    # compare a coefficient with, and the stage system does not branch on
+    # its splitting (its ``splitting=Splitting.AI`` default stays)
+    precond = ast.parse((PACKAGE / "precond.py").read_text())
+    calls = {ast.unparse(node.func) for node in ast.walk(precond) if isinstance(node, ast.Call)}
+    assert not calls & {"np.eye", "np.identity"}
+    stepper = ast.parse((PACKAGE / "stepper.py").read_text())
+    system = next(node for node in stepper.body
+                  if isinstance(node, ast.ClassDef) and node.name == "StageSystem")
+    tests = [ast.unparse(node) for node in ast.walk(system) if isinstance(node, ast.Compare)]
+    assert not [t for t in tests if "Splitting.AI" in t or "Splitting.IA" in t]

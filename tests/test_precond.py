@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from implicitrk import precond
 from implicitrk.bcs import BcMethod, DirichletBC, constrain_stage_system
@@ -617,6 +617,9 @@ def test_apply_matches_dense_constrained_surrogate(kind, form, s, m, shape, per_
     dt=st.floats(min_value=0.01, max_value=0.5),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# the GMRES estimate in sine coordinates met its target at 9.3e-12 for
+# rana-ld in AI form, with a true residual of 8.0e-11
+@example(s=4, N=4, shape="full", dt=0.5, seed=195)
 def test_tensor_path_matches_its_superlu_copy(kind, form, s, N, shape, dt, seed):
     # The same stage systems on the 2D heat pair, constrained on its whole
     # boundary, where every block is a fast diagonalization and the sweep

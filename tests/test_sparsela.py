@@ -17,11 +17,13 @@ from implicitrk.sparsela import (
     SparseMatrix,
     Splitting,
     dirichlet_constrain,
+    dirichlet_dofs,
     factorize_block,
     fgmres,
     mm_read,
     mm_write,
     spmv,
+    stage_product,
     tensor_product_pair,
 )
 
@@ -185,6 +187,20 @@ class TestDirichletConstrain:
     def test_repeated_dofs_set_the_diagonal_once(self):
         A = dirichlet_constrain(SparseMatrix.from_dense(3.0 * np.eye(4)), [2, 2, 1])
         np.testing.assert_array_equal(A.to_dense().diagonal(), [3.0, 1.0, 1.0, 3.0])
+
+
+class TestDirichletDofs:
+    @pytest.mark.parametrize("dofs", [None, [], np.empty(0), np.empty(0, dtype=np.int32)],
+                             ids=["none", "list", "float-array", "int32-array"])
+    def test_none_and_empty_are_the_empty_set(self, dofs):
+        out = dirichlet_dofs(dofs, 3)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("dofs, m", [([-1], None), ([-1], 3), ([0, 3], 3)],
+                             ids=["negative", "negative-sized", "past-the-end"])
+    def test_out_of_range(self, dofs, m):
+        with pytest.raises(ValueError, match="out of range"):
+            dirichlet_dofs(dofs, m)
 
 
 def coo_constrain(A, dofs):
@@ -603,6 +619,13 @@ class TestKronecker:
             ref[i] += dt * (K.to_scipy() @ U2[i])
         np.testing.assert_array_equal(op.apply(V.ravel()), ref.ravel())
 
+    def test_stage_product_returns_v_for_the_identity(self):
+        V = np.random.default_rng(8).standard_normal((3, 2, 4))
+        assert stage_product(np.eye(3), V) is V
+        C = radau_iia(3).A
+        want = (C @ V.reshape(3, -1)).reshape(V.shape)
+        np.testing.assert_array_equal(stage_product(C, V), want)
+
     def test_ai_ia_consistency(self):
         # (A^-1 (x) M + dt I (x) K)(A (x) I) k = (I (x) M + dt A (x) K) k
         rng = np.random.default_rng(9)
@@ -733,6 +756,22 @@ class TestFgmres:
         res = fgmres(A, b, settings=KrylovSettings(rtol=1e-10, restart=50))
         hist = np.array(res.residuals)
         assert np.all(np.diff(hist) <= 1e-13 * hist[0])
+
+    def test_returns_only_when_the_true_residual_meets_the_target(self):
+        # an operator that is 2 I for its first apply and I after it: the
+        # first cycle's estimate is 0 at x = b/2, whose true residual is
+        # ||b||/2, and the restart reaches x = b
+        applies = 0
+
+        def op(v):
+            nonlocal applies
+            applies += 1
+            return (2.0 if applies == 1 else 1.0) * v
+
+        b = np.arange(1.0, 6.0)
+        res = fgmres(op, b)
+        np.testing.assert_allclose(res.x, b, rtol=1e-14)
+        assert res.iterations == 2
 
     def test_restarted_still_converges(self):
         rng = np.random.default_rng(5)
