@@ -315,40 +315,62 @@ def tensor_product_pair(M1, K1) -> tuple[SparseMatrix, SparseMatrix]:
 
     ``M1`` and ``K1`` must be symmetric and tridiagonal, with constant
     diagonals on their interiors (a uniform grid), and ``M1`` positive
-    definite on its interior; anything else raises ValueError.  Both are
-    built in CSR order from the factors' bands (``TensorPair.bands``), with
-    no Kronecker product, and share one pattern: row (i, a)
-    holds the columns (i + oi, a + oa), oi and oa in -1, 0, 1, that lie on
-    the lattice, explicit zeros included.  The entries are the products and
-    sums that ``scipy.sparse.kron`` and a CSR sum form, bit for bit.  The
-    two results carry their pair, so that ``factorize_block`` solves their
-    boundary-constrained blocks by fast diagonalization.  Every other
-    ``SparseMatrix``, copies of these two included, carries none.
+    definite on its interior; anything else raises ValueError.  Both share
+    one pattern: row (i, a) holds the columns (i + oi, a + oa), oi and oa in
+    -1, 0, 1, that lie on the lattice, explicit zeros included.  The entries
+    are the products and sums that ``scipy.sparse.kron`` and a CSR sum form,
+    bit for bit.  They are written into CSR order a block of lattice rows i
+    at a time, from the factors' bands (``TensorPair.bands``) compressed to
+    their 3 n1 - 2 entries: the outer product of the block's band rows with
+    the compressed 1D values (for the column indices, the outer sum with the
+    1D columns), put in order by one fixed permutation per 1D row length.
+    Only the results have the size of the pattern.  They carry their pair,
+    so that ``factorize_block`` solves their boundary-constrained blocks by
+    fast diagonalization.  Every other ``SparseMatrix``, copies of these two
+    included, carries none.
     """
     M1, K1 = sp.csr_matrix(M1), sp.csr_matrix(K1)
     if M1.shape != K1.shape or M1.shape[0] != M1.shape[1]:
         raise ValueError("tensor_product_pair needs square M1, K1 of equal shape")
     pair = TensorPair(M1, K1)
     n1, (mb, kb) = pair.n1, pair.bands
-    # entry (i, a, oi, oa) is the coupling of vertex (i, a) to
-    # (i + oi - 1, a + oa - 1); the lattice in C order is the CSR order
+    # the 1D factors compressed: row i holds its lens[i] entries, in the
+    # columns i - 1, i, i + 1 that lie on the line, from first[i] on
     inside = np.ones((n1, 3), dtype=bool)
     inside[0, 0] = inside[-1, 2] = False
-    keep = inside[:, None, :, None] & inside[None, :, None, :]
-    index = sp.get_index_dtype(maxval=keep.sum())
+    lens = inside.sum(axis=1)
+    first = np.concatenate([[0], np.cumsum(lens)])
+    mc, kc = mb[inside], kb[inside]
+    nc = len(mc)
+    index = sp.get_index_dtype(maxval=nc * nc)
+    cc = (np.arange(n1, dtype=index)[:, None] + np.arange(-1, 2, dtype=index))[inside]
     row_offsets = np.zeros(n1 * n1 + 1, dtype=index)
-    np.cumsum(keep.sum(axis=(2, 3)), out=row_offsets[1:])
-    step = np.arange(-1, 2, dtype=index)
-    cols = np.arange(n1 * n1, dtype=index).reshape(n1, n1, 1, 1) + (n1 * step[:, None] + step)
-    cols = cols[keep]
-
-    def kron(A, B):
-        return A[:, None, :, None] * B[None, :, None, :]
-
-    M = SparseMatrix._owning((n1 * n1, n1 * n1), row_offsets, cols, kron(mb, mb)[keep])
-    K = kron(kb, mb)
-    K += kron(mb, kb)
-    K = SparseMatrix._owning(M.shape, M.row_offsets, M.col_indices, K[keep])
+    np.cumsum(np.multiply.outer(lens, lens), out=row_offsets[1:])
+    m, k, cols = np.empty(nc * nc), np.empty(nc * nc), np.empty(nc * nc, dtype=index)
+    # the outer product of h band rows with a compressed 1D array is ordered
+    # (i, oi, a, oa); CSR orders each lattice row i as (a, oi, oa)
+    owner = np.repeat(np.arange(n1), lens)
+    order = {w: np.argsort(owner * w + np.arange(w)[:, None], axis=None, kind="stable")
+             for w in (2, 3)}
+    height = 16
+    scratch, cscratch = np.empty((3, height * 3 * nc)), np.empty(height * 3 * nc, dtype=index)
+    starts = [0, *range(1, n1 - 1, height), n1 - 1, n1]
+    for i0, i1 in zip(starts, starts[1:]):
+        w, h = lens[i0], i1 - i0
+        rows, out = slice(first[i0], first[i1]), slice(row_offsets[i0 * n1], row_offsets[i1 * n1])
+        mr, kr, cr = (a[rows].reshape(h, w) for a in (mc, kc, cc))
+        pm, pk, q, c = (a[: h * w * nc].reshape(h, w, nc) for a in (*scratch, cscratch))
+        np.multiply.outer(mr, mc, out=pm)
+        np.multiply.outer(kr, mc, out=pk)
+        pk += np.multiply.outer(mr, kc, out=q)
+        np.add.outer(n1 * cr, cc, out=c)
+        for block, dst in ((pm, m), (pk, k), (c, cols)):
+            # "clip" writes straight into dst, "raise" through a buffer; the
+            # order is in range
+            np.take(block.reshape(h, -1), order[w], axis=1, mode="clip",
+                    out=dst[out].reshape(h, -1))
+    M = SparseMatrix._owning((n1 * n1, n1 * n1), row_offsets, cols, m)
+    K = SparseMatrix._owning(M.shape, M.row_offsets, M.col_indices, k)
     # scipy trims the indices to nnz by slicing, a new view: K holds M's array
     K._csr.indices = M.col_indices
     M._tensor = (pair, "mass")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,26 +126,38 @@ class AdditiveSplit:
 # constructors
 
 
-def _real_roots(p, stalled):
-    """The roots of the polynomial p, all real, in increasing order: the
-    eigenvalues of its companion matrix, polished by Newton until |p| is
-    below ROOT_TOL at every root, or ArithmeticError(``stalled``) if 50
-    steps do not get there."""
+def _real_roots(coef, stalled):
+    """The roots of the polynomial with integer coefficients ``coef``
+    (constant term first), all real and simple, in increasing order.  The
+    eigenvalues of the companion matrix of p = coef / max|coef| are polished
+    by float Newton until |p| is below ROOT_TOL at every root, or
+    ArithmeticError(``stalled``) if 50 steps do not get there.  A float
+    Newton step on the rounded p stops tens of ulp short of the root, so a
+    last one is taken exactly, in rationals on ``coef``, and rounded once."""
+    p = np.polynomial.Polynomial(coef) / max(abs(a) for a in coef)
     dp = p.deriv()
     x = np.sort(p.roots().real)
     for _ in range(50):
         r = p(x)
         if np.max(np.abs(r)) < ROOT_TOL:
-            return x
+            break
         x = x - r / dp(x)
-    raise ArithmeticError(stalled)
+    else:
+        raise ArithmeticError(stalled)
+    dcoef = [k * a for k, a in enumerate(coef)][1:]
+
+    def horner(c, X):
+        return functools.reduce(lambda acc, a: acc * X + a, reversed(c), Fraction(0))
+
+    return np.array([float(X - horner(coef, X) / horner(dcoef, X))
+                     for X in map(Fraction, x.tolist())])
 
 
 def _radau_nodes(s):
-    # Right Radau points: roots of the (s-1)-th derivative of x^(s-1) (x-1)^s.
-    Poly = np.polynomial.Polynomial
-    p = (Poly([0.0, 1.0]) ** (s - 1) * Poly([-1.0, 1.0]) ** s).deriv(s - 1)
-    c = _real_roots(p / np.max(np.abs(p.coef)), f"Radau node refinement stalled for s={s}")
+    # Right Radau points: roots of the (s-1)-th derivative of x^(s-1) (x-1)^s,
+    # whose coefficient of x^k is (-1)^(s-k) C(s, k) (s-1+k)!/k!.
+    coef = [(-1) ** (s - k) * math.comb(s, k) * math.perm(s - 1 + k, s - 1) for k in range(s + 1)]
+    c = _real_roots(coef, f"Radau node refinement stalled for s={s}")
     # x = 1 is a root of the node polynomial for every s; snap it exactly so
     # the final abscissa is 1 and the last row of A reproduces b bit-for-bit.
     c[-1] = 1.0
@@ -218,12 +232,10 @@ def lobatto_iiic(s: int) -> ButcherTableau:
 def alexander_dirk() -> ButcherTableau:
     """Alexander's three-stage, third-order, L-stable, stiffly accurate DIRK.
 
-    The diagonal coefficient is the root of x^3 - 3x^2 + (3/2)x - 1/6 in
-    (1/6, 1/2), the middle one of its three real roots, refined to residual
-    below ROOT_TOL.
+    The diagonal coefficient is the root of 6x^3 - 18x^2 + 9x - 1 in
+    (1/6, 1/2), the middle one of its three real roots (``_real_roots``).
     """
-    p = np.polynomial.Polynomial([-1 / 6, 1.5, -3.0, 1.0])
-    x = float(_real_roots(p, "Alexander diagonal root refinement stalled")[1])
+    x = float(_real_roots([-1, 9, -18, 6], "Alexander diagonal root refinement stalled")[1])
     y = -1.5 * x * x + 4 * x - 0.25
     # z is forced by consistency (weights sum to one); it agrees with the
     # quadratic expression (3/2)x^2 - 5x + 5/4 to machine precision.

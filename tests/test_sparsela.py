@@ -469,24 +469,41 @@ class TestTensorPath:
             assert not uses_superlu(fac)
             self.assert_solves(fac, M, K, alpha, dt, bdofs)
 
-    @pytest.mark.parametrize("N", SIZES)
+    # tensor_product_pair builds 16 lattice rows at a time between the first
+    # and the last: interior row counts N - 1 at a multiple of 16 and one off
+    @pytest.mark.parametrize("N", sorted({*SIZES, 16, 17, 18, 32, 33, 34}))
     def test_pair_is_the_kronecker_construction(self, N):
-        # format="csr": for factors of 5 rows or fewer, kron's default goes
-        # through BSR blocks and keeps their explicit zeros two columns apart
-        M1, K1 = (A.to_scipy() for A in p1_pair(N))
-        M, K = tensor_product_pair(M1, K1)
-        expected = [sp.kron(M1, M1, format="csr"),
-                    sp.kron(K1, M1, format="csr") + sp.kron(M1, K1, format="csr")]
-        for got, ref in zip([M.to_scipy(), K.to_scipy()], expected):
-            for field in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
-        # one pattern, shared
-        assert K.row_offsets is M.row_offsets and K.col_indices is M.col_indices
+        # the P1 factors, and random ones: constant interior diagonals, M1
+        # positive definite on the interior, and arbitrary corners and
+        # couplings A[0, 1], A[N - 1, N] to the boundary vertices
+        rng = np.random.default_rng(N)
+
+        def random_factor(diag, off):
+            main, side = np.full(N + 1, diag), np.full(N, off)
+            main[[0, -1]], side[[0, -1]] = rng.standard_normal((2, 2))
+            return sp.diags([side, main, side], [-1, 0, 1], format="csr")
+
+        a = rng.uniform(1.0, 2.0)
+        factors = [tuple(A.to_scipy() for A in p1_pair(N)),
+                   (random_factor(a, a * rng.uniform(-0.49, 0.49)),
+                    random_factor(*rng.standard_normal(2)))]
+        for M1, K1 in factors:
+            M, K = tensor_product_pair(M1, K1)
+            # format="csr": for factors of 5 rows or fewer, kron's default goes
+            # through BSR blocks and keeps their explicit zeros two columns apart
+            expected = [sp.kron(M1, M1, format="csr"),
+                        sp.kron(K1, M1, format="csr") + sp.kron(M1, K1, format="csr")]
+            for got, ref in zip([M.to_scipy(), K.to_scipy()], expected):
+                for field in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+            # one pattern, shared
+            assert K.row_offsets is M.row_offsets and K.col_indices is M.col_indices
 
     def test_assembly_peak_memory(self):
-        # 16.94 MiB measured: the two value arrays and the shared pattern
-        # (11.6 MiB) and the two broadcast products that sum to K; the bound
-        # leaves 18% above that, where the kron and COO build took 55.4 MiB
+        # 12.88 MiB measured: the two value arrays and the shared pattern
+        # (11.6 MiB) and the scratch of one block of lattice rows; the bound
+        # leaves 16% above that, where the padded lattice took 16.94 MiB and
+        # the kron and COO build 55.4 MiB
         tracemalloc.start()
         try:
             M, K, _ = assemble_heat(StructuredGrid(2, 256))
@@ -494,7 +511,7 @@ class TestTensorPath:
         finally:
             tracemalloc.stop()
         assert M.nnz == K.nnz == 769**2
-        assert peak < 20 * 2**20
+        assert peak < 15 * 2**20
 
     @pytest.mark.parametrize("N", SIZES)
     def test_closed_form_eigenpairs(self, N):

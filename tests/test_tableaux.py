@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ ALL_TABLEAUX = [
 ]
 
 
+def exact_newton_distance(coef, x):
+    """|p(x) / p'(x)|, in exact rationals, for the integer polynomial p with
+    coefficients ``coef`` (constant term first): how far Newton would still
+    move x."""
+    X = Fraction(x)
+    p = sum(a * X**k for k, a in enumerate(coef))
+    dp = sum(k * a * X ** (k - 1) for k, a in enumerate(coef) if k)
+    return abs(p / dp)
+
+
+def radau_node_polynomial(s):
+    """Coefficients of the (s-1)-th derivative of x^(s-1) (x-1)^s."""
+    p = [0] * (s - 1) + [1]
+    for _ in range(s):
+        p = [a - b for a, b in zip([0] + p, p + [0])]
+    for _ in range(s - 1):
+        p = [k * a for k, a in enumerate(p)][1:]
+    return p
+
+
 def explicit_euler():
     return ButcherTableau([[0.0]], [1.0], [0.0], 1, 0, "explicit-euler")
 
@@ -76,6 +97,13 @@ class TestRadau:
         assert tab.c[-1] == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.diff(tab.c) > 0)
         assert np.all(tab.c > 0)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_nodes_lie_within_an_ulp_of_their_roots(self, s):
+        # c_s = 1 is snapped, not refined
+        p = radau_node_polynomial(s)
+        for x in radau_iia(s).c[:-1]:
+            assert exact_newton_distance(p, x) <= np.spacing(x)
 
     @pytest.mark.parametrize("s", [0, 6, -1])
     def test_unsupported_stage_count(self, s):
@@ -114,6 +142,7 @@ class TestAlexander:
         x = tab.A[0, 0]
         assert x == pytest.approx(0.435866521508459, abs=1e-12)
         assert abs(x**3 - 3 * x**2 + 1.5 * x - 1 / 6) < 1e-14
+        assert exact_newton_distance([-1, 9, -18, 6], x) <= np.spacing(x)
 
     def test_consistency(self):
         tab = alexander_dirk()
