@@ -532,7 +532,12 @@ class KroneckerStageOperator:
 @dataclass
 class KrylovSettings:
     """FGMRES controls; defaults follow the solver configuration used in the
-    stage-count experiments (relative tolerance 1e-8, restart 50)."""
+    stage-count experiments (relative tolerance 1e-8, restart 50).
+
+    ``rtol`` is the tolerance of a linear solve.  A nonlinear problem's
+    Newton corrections are solved to forcing terms instead, and ``rtol`` is
+    their floor (see ``stepper``).
+    """
 
     rtol: float = 1e-8
     atol: float = 1e-50

@@ -24,8 +24,9 @@ factors built for it solve themselves (``solve(op, rhs, settings)`` in
 ``precond``): by one application of exact factors (a one-stage block, the
 eigen kind, or a triangular kind on a triangular tableau), by GMRES in the
 sine coordinates of a tensor pair, or by FGMRES through them.  A nonlinear
-problem's corrections run FGMRES through factors that lag behind its
-Jacobians.
+problem's corrections are inexact: each runs FGMRES, through factors that
+lag behind its Jacobians, to a forcing term of Eisenstat and Walker (SISC
+17 (1996), choice 2) with ``KrylovSettings.rtol`` as its floor.
 
 Sign convention: the ODE right-hand side is written u' = F(t, u), i.e. the
 residual is M u' + K u - f.
@@ -33,7 +34,7 @@ residual is M u' + K u - f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -112,6 +113,36 @@ class StageFormulation(Enum):
 # the smallest residual before them
 _STALL_WINDOW = 5
 
+# Eisenstat-Walker choice 2 forcing terms: eta_0 on every new stage system,
+# then eta_k = gamma (|F_k| / |F_k-1|)^alpha, at most ETA_MAX
+_ETA0 = 0.01
+_EW_GAMMA = 0.5
+_EW_ALPHA = 2.0
+_ETA_MAX = 0.9
+# lagged factors are stale once a solve through them spends more than this
+# many times the FGMRES iterations per decade of requested reduction that
+# their first solve spent
+_STALE_RATIO = 2.0
+
+
+def _forcing(etas, hist, floor, target):
+    """The FGMRES tolerance of the next Newton correction of a system whose
+    residual norms so far are ``hist`` and earlier forcing terms ``etas``.
+
+    The safeguard keeps eta from falling below gamma eta_prev^alpha while
+    that is above 0.1; the clip keeps it at least ``floor``
+    (``KrylovSettings.rtol``) and at least what takes the residual to half
+    the Newton ``target``, so that the last correction does not oversolve.
+    """
+    if not etas:
+        eta = _ETA0
+    else:
+        eta = _EW_GAMMA * (hist[-1] / hist[-2]) ** _EW_ALPHA
+        guard = _EW_GAMMA * etas[-1] ** _EW_ALPHA
+        if guard > 0.1:
+            eta = max(eta, guard)
+    return max(min(eta, _ETA_MAX), floor, 0.5 * target / hist[-1])
+
 
 @dataclass
 class NewtonSettings:
@@ -139,7 +170,8 @@ class StepReport:
     final Krylov residual, the same in sine coordinates as in lattice values,
     or for a nonlinear problem its final Newton residual; a direct solve
     measures none and reports NaN.
-    ``newton_residuals`` holds the residual norms of nonlinear solves only.
+    ``newton_residuals`` holds the residual norms of nonlinear solves only,
+    and ``forcing_terms`` the FGMRES tolerance of each of their corrections.
     """
 
     newton_iters: int
@@ -148,18 +180,20 @@ class StepReport:
     newton_residuals: list = field(default_factory=list)
     # stage-block LU factorizations done during the step
     factorizations: int = 0
+    forcing_terms: list = field(default_factory=list)
 
 
 @dataclass
 class _CachedFactors:
     """A stage preconditioner held across solves.
 
-    ``its`` is the FGMRES iteration count of the first Newton solve through
-    it; a later one that needs more marks it stale (see ``_correction``).
+    ``rate`` is the FGMRES iterations per decade of requested reduction of
+    the first Newton solve through it; a later one at more than
+    ``_STALE_RATIO`` times that rate marks it stale (see ``_correction``).
     """
 
     factors: object
-    its: Optional[int] = None
+    rate: Optional[float] = None
 
 
 def _sparse(what, A):
@@ -433,46 +467,52 @@ class TimeStepper:
             self._factor_cache[key] = _CachedFactors(self._build(system, kind, Ks))
         return key, self._factor_cache[key]
 
-    def _correction(self, system, kind, Ks, op, rhs):
+    def _correction(self, system, kind, Ks, op, rhs, settings):
         """Solve one Newton system ``op`` x = ``rhs`` through cached factors.
 
         The factors are built from the Jacobians ``Ks`` when missing.  A
         linear problem's factors never go stale, and ``op`` is the stage
-        system they were built for, so they solve it themselves:
-        ``solve(op, rhs, settings)`` picks the path (one apply, GMRES in sine
-        coordinates, or FGMRES through them).
+        system they were built for, so they solve it themselves to
+        ``settings`` (``KrylovSettings``): ``solve(op, rhs, settings)`` picks
+        the path (one apply, GMRES in sine coordinates, or FGMRES through
+        them).
         A nonlinear problem's ``op`` carries the current Jacobians, so the
-        correction is exact up to the FGMRES tolerance; only the
-        preconditioner lags.  A solve through lagged factors that needs more
-        iterations than their first solve marks them stale by dropping them,
-        so the next Newton iteration rebuilds them.  If FGMRES fails through
-        lagged factors, they are rebuilt and the solve is retried once; a
-        failure through fresh factors drops them and raises.
+        correction is exact up to its forcing term ``settings.rtol``; only
+        the preconditioner lags.  Staleness is judged by FGMRES iterations
+        per decade of the requested reduction, never by the achieved one (an
+        exact block overshoots its target by many decades): a solve through
+        lagged factors at more than ``_STALE_RATIO`` times the rate of their
+        first solve drops them, so the next Newton iteration rebuilds them.
+        If FGMRES fails through lagged factors, they are rebuilt and the
+        solve is retried once; a failure through fresh factors drops them
+        and raises.
 
         Returns the correction, the preconditioned solves spent (Krylov
         iterations, failed attempt included, or 1 for a direct solve) and the
         final Krylov residual (NaN for a direct solve).
         """
         if kind is None:
-            res = fgmres(op, rhs, None, self.krylov)
+            res = fgmres(op, rhs, None, settings)
             return res.x, res.iterations, res.residuals[-1]
         if system.problem.is_linear:
-            res = self._factors(system, kind, Ks)[1].factors.solve(op, rhs, self.krylov)
+            res = self._factors(system, kind, Ks)[1].factors.solve(op, rhs, settings)
             return res.x, res.iterations, res.residuals[-1]
         wasted = 0
         while True:
             key, entry = self._factors(system, kind, Ks)
             try:
-                res = fgmres(op, rhs, entry.factors, self.krylov)
+                res = fgmres(op, rhs, entry.factors, settings)
             except NonConvergenceError as exc:
                 del self._factor_cache[key]
-                if entry.its is None:
+                if entry.rate is None:
                     raise
                 wasted += len(exc.residuals) - 1
                 continue
-            if entry.its is None:
-                entry.its = res.iterations
-            elif res.iterations > entry.its:
+            # iterations per decade of the requested reduction
+            rate = res.iterations / max(np.log10(1.0 / settings.rtol), 1.0)
+            if entry.rate is None:
+                entry.rate = rate
+            elif rate > _STALE_RATIO * entry.rate:
                 del self._factor_cache[key]
             return res.x, wasted + res.iterations, res.residuals[-1]
 
@@ -480,15 +520,17 @@ class TimeStepper:
         """Newton on ``system`` with boundary stage values ``svals``.
 
         A linear problem takes exactly one correction from the start point,
-        with no residual test.  The boundary rows of every correction carry
+        with no residual test, solved to ``KrylovSettings.rtol``.  A
+        nonlinear problem's corrections are solved to forcing terms
+        (``_forcing``).  The boundary rows of every correction carry
         svals - X through ``constrain_stage_system``; nonlinear iterates
         start with the boundary values in place, so theirs are zero.
         Per-stage Jacobians are refreshed every iteration; the preconditioner
         built from them lags (``_correction``).
 
         Returns the unknown X, the stage derivatives at X, and the Newton
-        corrections, preconditioned solves, final residual and residual
-        history.
+        corrections, preconditioned solves, final residual, residual history
+        and forcing terms.
         """
         problem = system.problem
         linear = problem.is_linear
@@ -497,7 +539,8 @@ class TimeStepper:
         if len(dofs) and not linear:
             X[:, dofs] = svals
         nt = self.newton
-        hist = []
+        settings = self.krylov
+        hist, etas = [], []
         krylov = 0
         for it in range(nt.maxit + 1):
             states = None if linear else system.states(X)
@@ -510,8 +553,9 @@ class TimeStepper:
                     raise NonlinearDivergenceError(
                         "non-finite residual", f"Newton diverged at iteration {it}", hist
                     )
-                if normR <= max(nt.rtol * hist[0], nt.atol):
-                    return X, states[1], (it, krylov, normR, hist)
+                target = max(nt.rtol * hist[0], nt.atol)
+                if normR <= target:
+                    return X, states[1], (it, krylov, normR, hist, etas)
                 best = min(hist[:-_STALL_WINDOW], default=np.inf)
                 if min(hist[-_STALL_WINDOW:]) >= best:
                     raise NonlinearDivergenceError(
@@ -527,17 +571,19 @@ class TimeStepper:
                         f"(residual {normR:.3e})",
                         hist,
                     )
+                etas.append(_forcing(etas, hist, self.krylov.rtol, target))
+                settings = replace(self.krylov, rtol=etas[-1])
             jac = system.jacobian(None if linear else states[0])
             op, rhs = jac, np.negative(R, out=R).ravel()
             if len(dofs):
                 op, rhs = constrain_stage_system(jac, rhs, problem.dirichlet, svals - X[:, dofs])
-            dx, its, final = self._correction(system, kind, jac.Ks, op, rhs)
+            dx, its, final = self._correction(system, kind, jac.Ks, op, rhs, settings)
             krylov += its
             X = X + dx.reshape(X.shape)
             if len(dofs):
                 X[:, dofs] = svals
             if linear:
-                return X, system.derivatives(X), (1, krylov, final, [])
+                return X, system.derivatives(X), (1, krylov, final, [], [])
             # release this iteration's Jacobians and operator before the next
             # ones are built; the lagged preconditioner keeps what it needs
             del jac, op, dx
@@ -569,23 +615,25 @@ class TimeStepper:
                  if bc is not None and len(bc.dofs) else None)
         blocks, kind = self._blocks()
         K = np.empty((tab.s, problem.m))
-        newton, krylov, hist = 0, 0, []
+        newton, krylov, hist, etas = 0, 0, [], []
         for rows in blocks:
             i = rows.start
             # a DIRK stage's base is its explicit part; a coupled system's is u
             base = u + dt * (tab.A[i, :i] @ K[:i]) if i else u
             system = self._system(problem, rows, base)
-            X, K[rows], (nit, kit, final, h) = self._solve(
+            X, K[rows], (nit, kit, final, h, e) = self._solve(
                 system, None if svals is None else svals[rows], kind
             )
             newton += nit
             krylov += kit
             hist += h
+            etas += e
         if self.formulation is StageFormulation.STAGE_VALUE and tab.stiffly_accurate:
             u_next = u + dt * X[-1]
         else:
             u_next = u + dt * (tab.b @ K)
-        report = StepReport(newton, krylov, final, hist, self._factorizations - factorized)
+        report = StepReport(newton, krylov, final, hist, self._factorizations - factorized,
+                            etas)
         self.u = u_next
         self.step_index += 1
         return u_next, report

@@ -1,8 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 
 from implicitrk.problems import _elements, _quad_rule
+
+# Property tests draw the same examples on every run by default (derandomized,
+# with no example database); HYPOTHESIS_PROFILE=random draws fresh ones.
+# Both keep each test's own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("random", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture

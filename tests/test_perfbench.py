@@ -57,15 +57,17 @@ def test_allen_cahn_workload_takes_a_step(bench):
 
 
 @pytest.mark.parametrize("tab, form, counts", [
-    (tableaux.alexander_dirk(), StageFormulation.DIRK, (3, 9, 6)),
-    (tableaux.wsodirk433(), StageFormulation.DIRK, (4, 12, 8)),
-    (tableaux.radau_iia(1), StageFormulation.STAGE_DERIVATIVE_IA, (1, 3, 2)),
+    (tableaux.alexander_dirk(), StageFormulation.DIRK, [(1, 6, 6)] + [(0, 9, 6)] * 7),
+    (tableaux.wsodirk433(), StageFormulation.DIRK, [(4, 8, 8), (0, 10, 8)] + [(0, 12, 8)] * 6),
+    (tableaux.radau_iia(1), StageFormulation.STAGE_DERIVATIVE_IA, [(1, 2, 2)] + [(0, 3, 2)] * 7),
 ], ids=["alexander", "wsodirk433", "radau-iia-1"])
 def test_one_stage_newton_factor_reuse(bench, tab, form, counts):
     # (factorizations, Krylov iterations, Newton iterations) of every step.
-    # Each one-stage system factors its exact block, solves through it in
-    # one iteration, and drops it after the second, lagged solve takes two:
-    # the lag rule rebuilds it on every step (ROADMAP item 7)
+    # Each distinct a_ii factors its exact block once, on the first step, and
+    # every later solve reuses it.  A fresh exact block solves a correction
+    # in one iteration and a lagged one in one or two; the staleness rule
+    # reads iterations per decade of the requested forcing term, so the
+    # lagged block's extra iteration does not count against it
     _, workloads = bench
     grid = StructuredGrid(2, 16)
     mms = workloads.decaying_mms(0.1)
@@ -74,8 +76,7 @@ def test_one_stage_newton_factor_reuse(bench, tab, form, counts):
                      pc_kind=PreconditionerKind.RANA_LD, newton=NewtonSettings(rtol=1e-8),
                      u0=problems.interpolate(grid, mms.u, 0.0))
     _, reports = advance(st, problem, 0.5)
-    assert len(reports) == 8
-    assert {(r.factorizations, r.krylov_iters, r.newton_iters) for r in reports} == {counts}
+    assert [(r.factorizations, r.krylov_iters, r.newton_iters) for r in reports] == counts
 
 
 def test_workload_forcings_meet_the_lattice_contract(bench, flat_load):

@@ -250,9 +250,11 @@ def test_newton_iters_counts_corrections():
 
 
 class TestStepNewton:
-    def test_linear_problem_single_iteration(self):
+    def test_linear_problem_in_residual_form_takes_inexact_corrections(self):
         p = heat_no_bc(6)
-        # force the Newton path by wrapping the synthesized residual
+        # force the Newton path by wrapping the synthesized residual: its
+        # first correction is solved to eta_0 = 0.01 only, so a second one
+        # finishes what the linear path does in one
         pn = SemidiscreteProblem(
             m=p.m, mass=p.mass, residual=p.residual,
             jacobian_u=lambda t, u: p.stiffness, u0=p.u0, grid=p.grid,
@@ -261,7 +263,7 @@ class TestStepNewton:
         st_newt = TimeStepper(pn, radau_iia(2), 0.1, krylov=TIGHT)
         u_lin, _ = st_lin.step(p)
         u_newt, rep = st_newt.step(pn)
-        assert rep.newton_iters == 1
+        assert rep.newton_iters == 2
         np.testing.assert_allclose(u_newt, u_lin, atol=1e-10)
 
     def test_newton_respects_dirichlet_constraints(self):
@@ -277,10 +279,13 @@ class TestStepNewton:
                              pc_kind=PreconditionerKind.RANA_LD)
         st_newt = TimeStepper(pn, radau_iia(2), 0.1, krylov=TIGHT,
                               pc_kind=PreconditionerKind.RANA_LD)
+        newton_iters = []
         for _ in range(3):
             u_lin, _ = st_lin.step(p)
             u_newt, rep = st_newt.step(pn)
-            assert rep.newton_iters == 1
+            newton_iters.append(rep.newton_iters)
+        # inexact corrections: eta_0 = 0.01, then Eisenstat-Walker terms
+        assert newton_iters == [3, 3, 3]
         np.testing.assert_allclose(u_newt, u_lin, atol=1e-9)
         # stiffly accurate + DAE: boundary dofs match the data
         np.testing.assert_allclose(u_newt[p.dirichlet.dofs], 1.0, atol=1e-10)
@@ -764,6 +769,41 @@ class TestLaggedNewtonPreconditioner:
                 assert rep.factorizations == 3
                 # the failed attempt's iterations are counted too
                 assert rep.krylov_iters >= rep_fresh.krylov_iters + krylov.maxit
+
+    def test_forcing_terms_start_at_eta0_and_stay_in_their_clip(self):
+        p = allen_cahn_2d(16)
+        st = self.stepper(p)
+        nt, floor = st.newton, st.krylov.rtol
+        for _ in range(3):
+            _, rep = st.step(p)
+            hist, etas = rep.newton_residuals, rep.forcing_terms
+            assert len(etas) == rep.newton_iters == len(hist) - 1 >= 2
+            assert etas[0] == 0.01
+            target = max(nt.rtol * hist[0], nt.atol)
+            clips = [max(floor, 0.5 * target / norm) for norm in hist[:-1]]
+            assert all(lo <= eta <= 0.9 for lo, eta in zip(clips, etas))
+            # Eisenstat-Walker choice 2; gamma eta_0^alpha is far below the
+            # safeguard's 0.1
+            assert etas[1] == pytest.approx(max(0.5 * (hist[1] / hist[0]) ** 2, clips[1]),
+                                            rel=1e-12)
+        # a linear problem's one correction is solved to KrylovSettings.rtol
+        lin = heat_no_bc(6)
+        _, rep = TimeStepper(lin, radau_iia(2), 0.1).step(lin)
+        assert rep.forcing_terms == []
+
+    def test_fresh_steppers_agree_bit_for_bit(self):
+        # forcing terms and the refresh rule read residual norms, iteration
+        # counts and tolerances only, so two runs rebuild at the same solves
+        p = allen_cahn_2d(16, kappa=lambda t: 1.0 if t < 0.28 else 30.0)
+        runs = []
+        for _ in range(2):
+            st = self.stepper(p)
+            reports = [st.step(p)[1] for _ in range(7)]
+            runs.append((st.u, [r.factorizations for r in reports]))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        # the diffusivity jump refreshes the lagged factors
+        assert sum(runs[0][1]) > 3
 
     def test_short_last_step_keeps_the_full_step_factors(self):
         p = allen_cahn_2d(16)
